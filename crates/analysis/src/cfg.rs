@@ -99,7 +99,7 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tls_ir::{ModuleBuilder, Operand};
+    use tls_ir::{FuncId, ModuleBuilder, Operand};
 
     /// entry → a → c, entry → b → c, d unreachable.
     fn diamond() -> tls_ir::Module {
@@ -120,14 +120,13 @@ mod tests {
         fb.switch_to(d);
         fb.ret(None);
         fb.finish();
-        mb.set_entry(f);
-        mb.build().expect("valid")
+        crate::with_entry_caller(mb, f, 1)
     }
 
     #[test]
     fn preds_succs_and_rpo() {
         let m = diamond();
-        let cfg = Cfg::new(m.func(m.entry));
+        let cfg = Cfg::new(m.func(FuncId(0)));
         let (e, a, b, c, d) = (BlockId(0), BlockId(1), BlockId(2), BlockId(3), BlockId(4));
         assert_eq!(cfg.succs(e), &[a, b]);
         assert_eq!(cfg.preds(c), &[a, b]);
@@ -164,9 +163,8 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(Some(Operand::Const(0)));
         fb.finish();
-        mb.set_entry(f);
-        let m = mb.build().expect("valid");
-        let cfg = Cfg::new(m.func(m.entry));
+        let m = crate::with_entry_caller(mb, f, 1);
+        let cfg = Cfg::new(m.func(FuncId(0)));
         assert_eq!(cfg.rpo()[0], BlockId(0));
         assert_eq!(cfg.rpo().len(), 4);
         assert_eq!(cfg.preds(BlockId(1)).len(), 2); // entry + back edge

@@ -84,7 +84,7 @@ fn intersect(idom: &[Option<BlockId>], cfg: &Cfg, mut a: BlockId, mut b: BlockId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tls_ir::ModuleBuilder;
+    use tls_ir::{FuncId, ModuleBuilder};
 
     /// entry(b0) → {a(b1), b(b2)} → join(b3) → loop head(b4) ⇄ body(b5), exit(b6).
     fn build() -> tls_ir::Module {
@@ -111,14 +111,13 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(None);
         fb.finish();
-        mb.set_entry(f);
-        mb.build().expect("valid")
+        crate::with_entry_caller(mb, f, 1)
     }
 
     #[test]
     fn idoms_match_hand_computation() {
         let m = build();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         let e = BlockId(0);
@@ -134,7 +133,7 @@ mod tests {
     #[test]
     fn dominates_is_reflexive_and_transitive() {
         let m = build();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         assert!(dom.dominates(BlockId(0), BlockId(6)));

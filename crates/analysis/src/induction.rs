@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::cfg::Cfg;
     use crate::loops::find_loops;
-    use tls_ir::{ModuleBuilder, Operand};
+    use tls_ir::{FuncId, ModuleBuilder, Operand};
 
     /// Loop with: i += 1 (induction), j -= 2 (induction), acc = acc + i
     /// (not induction: non-const addend), k += 1 but only on one path
@@ -128,14 +128,13 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(Some(Operand::Var(acc)));
         fb.finish();
-        mb.set_entry(f);
-        mb.build().expect("valid")
+        crate::with_entry_caller(mb, f, 1)
     }
 
     #[test]
     fn detects_only_true_induction_vars() {
         let m = build();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         let loops = find_loops(func, &cfg, &dom);
@@ -167,9 +166,8 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(None);
         fb.finish();
-        mb.set_entry(f);
-        let m = mb.build().expect("valid");
-        let func = m.func(m.entry);
+        let m = crate::with_entry_caller(mb, f, 1);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         let loops = find_loops(func, &cfg, &dom);

@@ -28,6 +28,25 @@ mod liveness;
 pub mod loops;
 mod unionfind;
 
+/// Finish a test fixture whose analysed function `f` (declared first, so
+/// `FuncId(0)`) takes `params` arguments: add a parameterless `main` that
+/// calls it with zeros and make that the entry, since `validate` rejects a
+/// parameterized entry.
+#[cfg(test)]
+pub(crate) fn with_entry_caller(
+    mut mb: tls_ir::ModuleBuilder,
+    f: tls_ir::FuncId,
+    params: usize,
+) -> tls_ir::Module {
+    let main = mb.declare("main", 0);
+    let mut fb = mb.define(main);
+    fb.call(None, f, vec![tls_ir::Operand::Const(0); params]);
+    fb.ret(None);
+    fb.finish();
+    mb.set_entry(main);
+    mb.build().expect("valid")
+}
+
 pub use bitset::BitSet;
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;

@@ -105,7 +105,7 @@ fn gen_kill(block: &Block, num_vars: usize) -> (BitSet, BitSet) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tls_ir::{BinOp, ModuleBuilder, Operand};
+    use tls_ir::{BinOp, FuncId, ModuleBuilder, Operand};
 
     /// A counting loop: `i` and `sum` are loop-carried, `t` is local.
     fn counting_loop() -> tls_ir::Module {
@@ -134,14 +134,13 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(Some(Operand::Var(sum)));
         fb.finish();
-        mb.set_entry(f);
-        mb.build().expect("valid")
+        crate::with_entry_caller(mb, f, 1)
     }
 
     #[test]
     fn loop_carried_vars_are_live_at_header() {
         let m = counting_loop();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let lv = Liveness::new(func, &cfg);
         let head = BlockId(1);
@@ -155,7 +154,7 @@ mod tests {
     #[test]
     fn local_temp_is_dead_across_body_exit() {
         let m = counting_loop();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let lv = Liveness::new(func, &cfg);
         let body = BlockId(2);
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn exit_block_keeps_return_value_live() {
         let m = counting_loop();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let lv = Liveness::new(func, &cfg);
         let exit = BlockId(3);
@@ -180,7 +179,7 @@ mod tests {
     #[test]
     fn def_before_use_is_not_upward_exposed() {
         let m = counting_loop();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let (gen, kill) = gen_kill(func.block(BlockId(2)), func.num_vars);
         // body: t = i*2 (def t, use i); sum += t; i += 1.
         assert!(gen.contains(1)); // i used before redefined

@@ -93,7 +93,7 @@ pub fn find_loops(func: &Function, cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tls_ir::ModuleBuilder;
+    use tls_ir::{FuncId, ModuleBuilder};
 
     /// Nested loops:
     /// entry(b0) → outer_head(b1) → inner_head(b2) ⇄ inner_body(b3);
@@ -119,14 +119,13 @@ mod tests {
         fb.switch_to(ex);
         fb.ret(None);
         fb.finish();
-        mb.set_entry(f);
-        mb.build().expect("valid")
+        crate::with_entry_caller(mb, f, 1)
     }
 
     #[test]
     fn finds_nested_loops_with_exits() {
         let m = nested();
-        let func = m.func(m.entry);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         let loops = find_loops(func, &cfg, &dom);
@@ -187,9 +186,8 @@ mod tests {
         fb.switch_to(ex);
         fb.ret(None);
         fb.finish();
-        mb.set_entry(f);
-        let m = mb.build().expect("valid");
-        let func = m.func(m.entry);
+        let m = crate::with_entry_caller(mb, f, 1);
+        let func = m.func(FuncId(0));
         let cfg = Cfg::new(func);
         let dom = Dominators::new(func, &cfg);
         let loops = find_loops(func, &cfg, &dom);

@@ -77,6 +77,7 @@
 mod builder;
 mod display;
 pub mod generate;
+pub mod hash;
 mod ids;
 mod instr;
 mod module;
@@ -86,6 +87,7 @@ mod validate;
 
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use generate::{generate, GenConfig, GenConfigError, GenFamily};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{BlockId, ChanId, FuncId, GlobalId, GroupId, RegionId, Sid, Var};
 pub use instr::{BinOp, Instr, Operand, Terminator};
 pub use module::{Block, Function, Global, Module, SpecRegion};

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{BlockId, FuncId, Var};
+use crate::ids::{BlockId, ChanId, FuncId, GroupId, Sid, Var};
 use crate::instr::{Instr, Operand, Terminator};
 use crate::module::{Function, Module};
 
@@ -62,6 +62,41 @@ pub enum ValidateError {
         /// The function holding the second occurrence.
         func: String,
     },
+    /// An instruction carries a static id at or above the module's
+    /// `next_sid`; executors size their per-sid tables by that count.
+    SidOutOfRange {
+        /// The offending function.
+        func: String,
+        /// The out-of-range id.
+        sid: Sid,
+        /// The module's `next_sid`.
+        next_sid: u32,
+    },
+    /// A scalar wait or signal names a channel at or above `next_chan`.
+    ChanOutOfRange {
+        /// The offending function.
+        func: String,
+        /// The out-of-range channel.
+        chan: ChanId,
+        /// The module's `next_chan`.
+        next_chan: u32,
+    },
+    /// A memory wait or signal names a group at or above `next_group`.
+    GroupOutOfRange {
+        /// The offending function.
+        func: String,
+        /// The out-of-range group.
+        group: GroupId,
+        /// The module's `next_group`.
+        next_group: u32,
+    },
+    /// The entry function takes parameters; execution starts it with none.
+    EntryHasParams {
+        /// The entry function's name.
+        func: String,
+        /// Its parameter count.
+        params: usize,
+    },
     /// A region's header is not in its block list, or a region block does
     /// not exist.
     BadRegion {
@@ -105,6 +140,34 @@ impl fmt::Display for ValidateError {
             ValidateError::DuplicateSid { func } => {
                 write!(f, "duplicate static instruction id in `{func}`")
             }
+            ValidateError::SidOutOfRange {
+                func,
+                sid,
+                next_sid,
+            } => write!(
+                f,
+                "`{func}` uses static instruction id {sid}, but the module counts only {next_sid}"
+            ),
+            ValidateError::ChanOutOfRange {
+                func,
+                chan,
+                next_chan,
+            } => write!(
+                f,
+                "`{func}` uses scalar channel {chan}, but the module counts only {next_chan}"
+            ),
+            ValidateError::GroupOutOfRange {
+                func,
+                group,
+                next_group,
+            } => write!(
+                f,
+                "`{func}` uses memory group {group}, but the module counts only {next_group}"
+            ),
+            ValidateError::EntryHasParams { func, params } => write!(
+                f,
+                "entry function `{func}` takes {params} parameters, expected none"
+            ),
             ValidateError::BadRegion { region } => write!(f, "region {region} is malformed"),
             ValidateError::NoEpochs => {
                 write!(f, "entry function has no loop: the program has zero epochs")
@@ -115,13 +178,22 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
-/// Check the structural invariants of a module.
+/// Check the structural invariants of a module, including what the
+/// profiler, the compiler and the simulator assume of their input: ids
+/// below the module's counts and an entry function without parameters.
 ///
 /// # Errors
 /// Returns the first defect found.
 pub fn validate(m: &Module) -> Result<(), ValidateError> {
     if m.entry.index() >= m.funcs.len() {
         return Err(ValidateError::BadEntry(m.entry));
+    }
+    let entry = &m.funcs[m.entry.index()];
+    if entry.num_params != 0 {
+        return Err(ValidateError::EntryHasParams {
+            func: entry.name.clone(),
+            params: entry.num_params,
+        });
     }
     let mut sids = HashSet::new();
     for func in &m.funcs {
@@ -228,9 +300,39 @@ fn validate_func(
             });
             res?;
             if let Some(sid) = instr.sid() {
+                if sid.0 >= m.next_sid {
+                    return Err(ValidateError::SidOutOfRange {
+                        func: name(),
+                        sid,
+                        next_sid: m.next_sid,
+                    });
+                }
                 if !sids.insert(sid.0) {
                     return Err(ValidateError::DuplicateSid { func: name() });
                 }
+            }
+            match *instr {
+                Instr::WaitScalar { chan, .. } | Instr::SignalScalar { chan, .. }
+                    if chan.0 >= m.next_chan =>
+                {
+                    return Err(ValidateError::ChanOutOfRange {
+                        func: name(),
+                        chan,
+                        next_chan: m.next_chan,
+                    });
+                }
+                Instr::SyncLoad { group, .. }
+                | Instr::SignalMem { group, .. }
+                | Instr::SignalMemNull { group }
+                    if group.0 >= m.next_group =>
+                {
+                    return Err(ValidateError::GroupOutOfRange {
+                        func: name(),
+                        group,
+                        next_group: m.next_group,
+                    });
+                }
+                _ => {}
             }
             if let Instr::Call { func: callee, args, .. } = instr {
                 let Some(cf) = m.funcs.get(callee.index()) else {
@@ -345,6 +447,7 @@ mod tests {
         let mut mb = tiny();
         let g = mb.add_global("g", 1, vec![]);
         let m = mb.module_mut();
+        m.next_sid = 1;
         let instrs = &mut m.funcs[0].blocks[0].instrs;
         for _ in 0..2 {
             instrs.push(Instr::Store {
@@ -358,6 +461,68 @@ mod tests {
             validate(&mb.build_unchecked()),
             Err(ValidateError::DuplicateSid { .. })
         ));
+    }
+
+    #[test]
+    fn ids_past_the_module_counts_are_rejected() {
+        let mut mb = tiny();
+        let g = mb.add_global("g", 1, vec![]);
+        let m = mb.module_mut();
+        m.funcs[0].blocks[0].instrs.push(Instr::Store {
+            val: Operand::Const(1),
+            addr: Operand::Global(g),
+            off: 0,
+            sid: Sid(0),
+        });
+        assert_eq!(
+            validate(m),
+            Err(ValidateError::SidOutOfRange {
+                func: "main".into(),
+                sid: Sid(0),
+                next_sid: 0,
+            })
+        );
+        m.next_sid = 1;
+        assert_eq!(validate(m), Ok(()));
+
+        m.funcs[0].blocks[0].instrs.push(Instr::SignalScalar {
+            chan: ChanId(2),
+            val: Operand::Const(0),
+        });
+        m.next_chan = 2;
+        assert!(matches!(
+            validate(m),
+            Err(ValidateError::ChanOutOfRange { chan: ChanId(2), next_chan: 2, .. })
+        ));
+        m.next_chan = 3;
+        assert_eq!(validate(m), Ok(()));
+
+        m.funcs[0].blocks[0]
+            .instrs
+            .push(Instr::SignalMemNull { group: GroupId(0) });
+        assert!(matches!(
+            validate(m),
+            Err(ValidateError::GroupOutOfRange { group: GroupId(0), next_group: 0, .. })
+        ));
+        m.next_group = 1;
+        assert_eq!(validate(m), Ok(()));
+    }
+
+    #[test]
+    fn entry_with_parameters_is_rejected() {
+        let mut mb = ModuleBuilder::new();
+        let f = mb.declare("main", 1);
+        let mut fb = mb.define(f);
+        fb.ret(None);
+        fb.finish();
+        mb.set_entry(f);
+        assert_eq!(
+            mb.build(),
+            Err(ValidateError::EntryHasParams {
+                func: "main".into(),
+                params: 1,
+            })
+        );
     }
 
     #[test]

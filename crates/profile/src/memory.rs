@@ -1,6 +1,6 @@
 //! Flat, word-addressed, paged memory.
 
-use std::collections::HashMap;
+use tls_ir::FastMap;
 
 const PAGE_WORDS: usize = 1024;
 
@@ -10,7 +10,7 @@ const PAGE_WORDS: usize = 1024;
 /// architectural state.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<i64, Box<[i64; PAGE_WORDS]>>,
+    pages: FastMap<i64, Box<[i64; PAGE_WORDS]>>,
 }
 
 impl Memory {

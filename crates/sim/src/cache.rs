@@ -4,19 +4,42 @@
 //! shared unified L2, backed by memory (Table 1). Speculative state is held
 //! separately (see `spec`); this model answers "how long does this access
 //! take" and tracks tag-array contents with LRU replacement.
+//!
+//! # Paged tag storage
+//!
+//! The Table 1 machine has a 2 MB L2 (65,536 lines) and four 32 KB L1s, but
+//! a short run touches only a few hundred lines of them. Tag arrays are
+//! therefore stored as a table of pages of `PAGE_SETS` (64) sets each,
+//! allocated on the first access that lands in them. A fresh page holds
+//! exactly what an eagerly filled array would: every tag invalid and every
+//! LRU stamp 0. Victim choice is therefore identical, including the stale
+//! stamps that invalidated ways keep. [`SetAssocCache::probe`] and
+//! [`SetAssocCache::invalidate`] on an untouched page allocate nothing: an
+//! untouched set holds no line. Building a [`MemSystem`] costs one small
+//! page table per cache; [`MemSystem::resident_pages`] reports how many
+//! pages a run materialized.
 
 use tls_ir::line_of;
 
 use crate::config::SimConfig;
 use crate::counters::MemLevel;
 
+/// Sets per tag page: the unit in which tag storage is allocated.
+const PAGE_SETS: usize = 64;
+
+/// One way of a set: its tag (`None` = invalid) and LRU stamp.
+#[derive(Clone, Copy, Debug, Default)]
+struct Way {
+    tag: Option<i64>,
+    stamp: u64,
+}
+
 /// One set-associative tag array with LRU replacement.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    /// `sets × ways` tags; `None` = invalid.
-    tags: Vec<Option<i64>>,
-    /// Per-entry LRU stamps.
-    stamps: Vec<u64>,
+    /// Page `p` holds the ways of sets `p * PAGE_SETS ..` (the last page
+    /// may hold fewer sets), set-major; `None` until first touched.
+    pages: Vec<Option<Box<[Way]>>>,
     sets: usize,
     ways: usize,
     clock: u64,
@@ -31,16 +54,43 @@ impl SetAssocCache {
         assert!(ways > 0 && lines.is_multiple_of(ways), "lines must split into ways");
         let sets = lines / ways;
         Self {
-            tags: vec![None; lines],
-            stamps: vec![0; lines],
+            pages: vec![None; sets.div_ceil(PAGE_SETS)],
             sets,
             ways,
             clock: 0,
         }
     }
 
-    fn set_of(&self, line: i64) -> usize {
-        (line.rem_euclid(self.sets as i64)) as usize
+    /// The page holding `line`'s set and the offset of the set's first way
+    /// within that page.
+    #[inline]
+    fn locate(&self, line: i64) -> (usize, usize) {
+        let set = line.rem_euclid(self.sets as i64) as usize;
+        (set / PAGE_SETS, (set % PAGE_SETS) * self.ways)
+    }
+
+    /// The ways of `line`'s set, if its page has been touched.
+    #[inline]
+    fn set(&self, line: i64) -> Option<&[Way]> {
+        let (p, base) = self.locate(line);
+        self.pages[p]
+            .as_deref()
+            .map(|page| &page[base..base + self.ways])
+    }
+
+    /// The ways of `line`'s set, materializing its page on first touch.
+    #[inline]
+    fn set_mut(&mut self, line: i64) -> &mut [Way] {
+        let (p, base) = self.locate(line);
+        let ways = self.ways;
+        let page = match &mut self.pages[p] {
+            Some(page) => page,
+            slot @ None => {
+                let sets = PAGE_SETS.min(self.sets - p * PAGE_SETS);
+                slot.insert(vec![Way::default(); sets * ways].into_boxed_slice())
+            }
+        };
+        &mut page[base..base + ways]
     }
 
     /// Access `line`: returns true on hit. Misses install the line,
@@ -53,40 +103,40 @@ impl SetAssocCache {
     /// miss evicted, if any (observability: speculative-state evictions).
     pub fn access_evict(&mut self, line: i64) -> (bool, Option<i64>) {
         self.clock += 1;
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == Some(line) {
-                self.stamps[base + w] = self.clock;
-                return (true, None);
-            }
+        let clock = self.clock;
+        let set = self.set_mut(line);
+        if let Some(way) = set.iter_mut().find(|w| w.tag == Some(line)) {
+            way.stamp = clock;
+            return (true, None);
         }
-        // Miss: evict LRU.
-        let victim = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways > 0");
-        let evicted = self.tags[base + victim];
-        self.tags[base + victim] = Some(line);
-        self.stamps[base + victim] = self.clock;
+        // Miss: evict LRU (the first way with the oldest stamp).
+        let victim = set.iter_mut().min_by_key(|w| w.stamp).expect("ways > 0");
+        let evicted = victim.tag.replace(line);
+        victim.stamp = clock;
         (false, evicted)
     }
 
     /// Is `line` present (no state change)?
     pub fn probe(&self, line: i64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| self.tags[base + w] == Some(line))
+        self.set(line)
+            .is_some_and(|set| set.iter().any(|w| w.tag == Some(line)))
     }
 
-    /// Invalidate `line` if present.
+    /// Invalidate `line` if present. The way keeps its LRU stamp.
     pub fn invalidate(&mut self, line: i64) {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == Some(line) {
-                self.tags[base + w] = None;
+        let (p, base) = self.locate(line);
+        if let Some(page) = self.pages[p].as_deref_mut() {
+            for way in &mut page[base..base + self.ways] {
+                if way.tag == Some(line) {
+                    way.tag = None;
+                }
             }
         }
+    }
+
+    /// Number of tag pages materialized so far (diagnostics only).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -174,6 +224,16 @@ impl MemSystem {
                 l1.invalidate(line);
             }
         }
+    }
+
+    /// Tag pages materialized across every L1 and the L2 (diagnostics
+    /// only; see the module docs).
+    pub fn resident_pages(&self) -> usize {
+        self.l1
+            .iter()
+            .map(SetAssocCache::resident_pages)
+            .sum::<usize>()
+            + self.l2.resident_pages()
     }
 }
 

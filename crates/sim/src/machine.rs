@@ -483,6 +483,7 @@ impl<'m> Machine<'m> {
         let region_cycles: u64 = self.result.regions.values().map(|r| r.cycles).sum();
         self.result.sequential_cycles = self.time.saturating_sub(region_cycles);
         self.result.memory = std::mem::take(&mut self.mem);
+        self.result.cache_tag_pages = self.caches.resident_pages();
         if let Some(plan) = &self.config.inject {
             self.result.faults = plan.summary();
         }
@@ -1698,7 +1699,11 @@ impl<'m> Machine<'m> {
                         if victim.is_none_or(|(v0, _, _)| y.index < v0) {
                             victim = Some((y.index, lsid, ViolationKind::Eager));
                         }
-                        break; // epochs are in index order: first hit is youngest-older... keep scanning? They're ascending: first conflict is the oldest conflicting — squash cascades anyway.
+                        // `younger` is in ascending epoch order, so the first
+                        // conflict is the oldest conflicting reader. The squash
+                        // restarts it and every epoch after it, so a later
+                        // conflict could never become the victim.
+                        break;
                     }
                 }
                 if let Some((v0, lsid, kind)) = victim {

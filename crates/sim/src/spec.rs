@@ -6,20 +6,28 @@
 //! writes from registering as exposed reads), holds the mailboxes of
 //! incoming forwarded values, and maintains the producer-side signal
 //! address buffer of §2.2.
+//!
+//! Every store, exposed load and signal goes through these maps, so they
+//! are keyed through [`tls_ir::FastMap`]/[`tls_ir::FastSet`], a seedless
+//! multiplicative hasher, rather than std's SipHash. Nothing reads their
+//! iteration order into simulated state. The one order that matters — the
+//! commit walk over a write buffer's words, which drives cache timing — is
+//! address order from a `BTreeMap`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use tls_ir::{line_of, ChanId, GroupId, Sid};
+use tls_ir::{line_of, ChanId, FastMap, FastSet, GroupId, Sid};
 
 /// Speculative write buffer: word values plus touched-line bookkeeping
 /// (each dirty line remembers the first static store that wrote it, for
 /// dependence-edge attribution).
 #[derive(Clone, Debug, Default)]
 pub struct WriteBuffer {
-    /// Word → value. `BTreeMap` so commit order is deterministic.
+    /// Word → value. A `BTreeMap`: commit walks it in address order, and
+    /// that order drives cache timing.
     words: BTreeMap<i64, i64>,
     /// Dirty line → sid of the first store into it.
-    lines: HashMap<i64, Sid>,
+    lines: FastMap<i64, Sid>,
 }
 
 impl WriteBuffer {
@@ -82,9 +90,9 @@ impl WriteBuffer {
 #[derive(Clone, Debug, Default)]
 pub struct ReadSet {
     /// Line → sid of the first exposed load of that line.
-    lines: HashMap<i64, Sid>,
+    lines: FastMap<i64, Sid>,
     /// Exact words read (used only when `word_grain` tracking is on).
-    words: HashSet<i64>,
+    words: FastSet<i64>,
 }
 
 impl ReadSet {
@@ -155,9 +163,9 @@ impl MemSignal {
 #[derive(Clone, Debug, Default)]
 pub struct SyncState {
     /// Scalar channel → (value, cycle at which the consumer can read it).
-    pub out_scalars: HashMap<ChanId, (i64, u64)>,
+    pub out_scalars: FastMap<ChanId, (i64, u64)>,
     /// Memory group → forwarded signal.
-    pub out_mems: HashMap<GroupId, MemSignal>,
+    pub out_mems: FastMap<GroupId, MemSignal>,
     /// Producer-side signal address buffer: forwarded (group, addr) pairs;
     /// a later store in this epoch to a buffered address violates the
     /// consumer (§2.2).

@@ -229,6 +229,9 @@ pub struct SimResult {
     /// [`crate::Machine::run_instrumented`] with an enabled sink).
     /// `None` means counting was compiled out, not that nothing happened.
     pub counters: Option<Box<MachineCounters>>,
+    /// Cache tag pages the run materialized across all L1s and the L2
+    /// (host-memory diagnostics only; no simulated meaning).
+    pub cache_tag_pages: usize,
 }
 
 impl SimResult {
