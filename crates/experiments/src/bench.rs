@@ -248,9 +248,9 @@ pub fn tracing_overhead(h: &Harness) -> Result<(f64, f64), ExperimentError> {
 }
 
 /// Median-of-[`OVERHEAD_ROUNDS`] interleaved throughput of the
-/// counters-*disabled* hot loop (`NullCounters`, statically compiled out)
-/// against the full `MachineCounters` bank. Returns `(null_ips,
-/// counted_ips)`.
+/// counters-*disabled* hot loop (`NullTracer`, statically compiled out)
+/// against a run traced into the full `MachineCounters` bank. Returns
+/// `(null_ips, counted_ips)`.
 ///
 /// # Errors
 /// Propagates simulation failures.
@@ -471,9 +471,10 @@ mod tests {
         );
     }
 
-    /// Same guard for the machine-counter bank: with `NullCounters` every
-    /// hook is compiled out, so the default hot loop must stay within
-    /// noise of the counting loop from the fast side (median-of-rounds).
+    /// Same guard for the machine-counter bank: with `NullTracer` every
+    /// counting hook is compiled out, so the default hot loop must stay
+    /// within noise of the counting loop from the fast side
+    /// (median-of-rounds).
     #[test]
     fn disabled_counters_pay_nothing() {
         let w = tls_workloads::by_name("ijpeg").expect("workload exists");

@@ -8,9 +8,8 @@ use std::sync::OnceLock;
 use tls_core::{compile_all, loads_above_threshold, CompilationSet, CompileError, CompileOptions};
 use tls_profile::{record_oracle, ExecError, ValueOracle};
 use tls_sim::{
-    check_conformance, AdaptConfig, CounterSink, Machine, MachineCounters, ModelConfig,
-    NullCounters, NullTracer, OracleSel, RecordingTracer, SimConfig, SimError, SimResult,
-    SyncLoadPolicy, Tracer,
+    check_conformance, AdaptConfig, Machine, MachineCounters, ModelConfig, NullTracer, OracleSel,
+    RecordingTracer, SimConfig, SimError, SimResult, SyncLoadPolicy, Tracer,
 };
 use tls_workloads::{InputSet, Workload};
 
@@ -562,50 +561,26 @@ impl Harness {
         mode: Mode,
         tracer: &mut T,
     ) -> Result<SimResult, ExperimentError> {
-        self.run_instrumented(mode, tracer, &mut NullCounters)
+        let machine = self.machine(mode, None)?;
+        let result = {
+            let _sim = metrics::span("sim");
+            machine.run_traced(tracer)?
+        };
+        let _check = metrics::span("check");
+        self.verified(mode, result)
     }
 
-    /// Like [`Harness::run`], but with machine counters enabled: the result
-    /// carries a populated [`tls_sim::MachineCounters`] bank. Counting is
-    /// observational — timing and architectural state are identical to
-    /// [`Harness::run`]'s.
+    /// Like [`Harness::run`], but with machine counters enabled: the run is
+    /// traced into a [`tls_sim::MachineCounters`] bank, which the result
+    /// carries. Counting is observational — timing and architectural state
+    /// are identical to [`Harness::run`]'s.
     ///
     /// # Errors
     /// As [`Harness::run`].
     pub fn run_counted(&self, mode: Mode) -> Result<SimResult, ExperimentError> {
-        self.run_instrumented(mode, &mut NullTracer, &mut MachineCounters::default())
-    }
-
-    /// The fully general entry point: stream trace events into `tracer`
-    /// *and* machine-counter increments into `counters` (either side can be
-    /// the null sink). Neither instrument changes simulated timing.
-    ///
-    /// # Errors
-    /// Propagates simulation failures; returns
-    /// [`ExperimentError::WrongOutput`] if the TLS run diverges.
-    pub fn run_instrumented<T: Tracer, C: CounterSink>(
-        &self,
-        mode: Mode,
-        tracer: &mut T,
-        counters: &mut C,
-    ) -> Result<SimResult, ExperimentError> {
-        let (module, cfg, which) = self.resolve(mode);
-        let machine = match self.oracle(which)? {
-            Some(o) => Machine::with_oracle(module, cfg, o),
-            None => Machine::new(module, cfg),
-        };
-        let result = {
-            let _sim = metrics::span("sim");
-            machine.run_instrumented(tracer, counters)?
-        };
-        let _check = metrics::span("check");
-        if let Some(detail) = self.check(&result) {
-            return Err(ExperimentError::WrongOutput {
-                workload: self.name.clone(),
-                mode: mode.label(),
-                detail,
-            });
-        }
+        let mut counters = MachineCounters::default();
+        let mut result = self.run_traced(mode, &mut counters)?;
+        result.counters = Some(Box::new(counters));
         Ok(result)
     }
 
@@ -629,23 +604,43 @@ impl Harness {
         checked: bool,
         tracer: &mut T,
     ) -> Result<SimResult, ExperimentError> {
+        let result = self.machine(mode, Some(plan))?.run_traced(tracer)?;
+        if checked {
+            self.verified(mode, result)
+        } else {
+            Ok(result)
+        }
+    }
+
+    /// The machine a `mode` run simulates: the mode's module and
+    /// configuration (with `inject` installed, when given) and its value
+    /// oracle.
+    fn machine(
+        &self,
+        mode: Mode,
+        inject: Option<tls_sim::FaultPlan>,
+    ) -> Result<Machine<'_>, ExperimentError> {
         let (module, mut cfg, which) = self.resolve(mode);
-        cfg.inject = Some(plan);
-        let machine = match self.oracle(which)? {
+        if let Some(plan) = inject {
+            cfg.inject = Some(plan);
+        }
+        Ok(match self.oracle(which)? {
             Some(o) => Machine::with_oracle(module, cfg, o),
             None => Machine::new(module, cfg),
-        };
-        let result = machine.run_traced(tracer)?;
-        if checked {
-            if let Some(detail) = self.check(&result) {
-                return Err(ExperimentError::WrongOutput {
-                    workload: self.name.clone(),
-                    mode: mode.label(),
-                    detail,
-                });
-            }
+        })
+    }
+
+    /// `result` if it matches sequential execution, else
+    /// [`ExperimentError::WrongOutput`].
+    fn verified(&self, mode: Mode, result: SimResult) -> Result<SimResult, ExperimentError> {
+        match self.check(&result) {
+            None => Ok(result),
+            Some(detail) => Err(ExperimentError::WrongOutput {
+                workload: self.name.clone(),
+                mode: mode.label(),
+                detail,
+            }),
         }
-        Ok(result)
     }
 
     /// Record (once) and fetch the oracle a mode consumes.

@@ -1,30 +1,27 @@
 //! Hardware-counter-style machine counters.
 //!
 //! [`MachineCounters`] is the host-side analogue of a CPU's performance
-//! counter bank: cheap monotonically-increasing totals maintained inside
-//! the [`crate::Machine`] hot loop — instructions executed by opcode
-//! class, cache hits and misses per level, line evictions, speculative
-//! load/store traffic, write-buffer occupancy high-water marks, signal
-//! send/receive counts per channel kind, violations by cause and value
-//! prediction outcomes.
+//! counter bank: cheap monotonically-increasing totals over a simulated
+//! run — instructions executed by opcode class, cache hits and misses per
+//! level, line evictions, speculative load/store traffic, write-buffer
+//! occupancy high-water marks, signal send/receive counts per channel
+//! kind, violations by cause and value prediction outcomes.
 //!
-//! Counting uses the same static-dispatch zero-cost pattern as
-//! [`crate::Tracer`]: every emission site is guarded by
-//! `if C::ENABLED { … }` on a [`CounterSink`] type parameter, so a run
-//! with [`NullCounters`] compiles every hook out and a run with
-//! [`MachineCounters`] pays only an increment per event. Counters are
-//! purely observational — for any sink the simulated timing, outputs and
-//! statistics are identical.
+//! The bank is one more [`Tracer`]: [`Tracer::event`] folds each counted
+//! [`TraceEvent`] kind into its row(s), and the four high-rate hooks
+//! ([`Tracer::retire`], [`Tracer::mem_access`], [`Tracer::wb_occupancy`],
+//! [`Tracer::predictions_verified`]) cover what has no event. Counting and
+//! tracing therefore share one seam, so the totals equal what a
+//! [`crate::RecordingTracer`] replay of the same run counts by
+//! construction. [`crate::Machine::run_counted`] runs with a fresh bank
+//! and attaches it to [`crate::SimResult::counters`]. Like every tracer,
+//! the bank is purely observational: timing, outputs and statistics are
+//! identical to an untraced run.
 //!
 //! The counter values are a function of the simulated execution alone
 //! (never of wall-clock time or host parallelism), so two runs of the
 //! same module under the same [`crate::SimConfig`] produce identical
-//! counter banks — the property the `repro metrics` CLI export and the
-//! counter/trace consistency tests rely on. Counters that mirror traced
-//! events ([`MachineCounters::violations`], signal sends/receives, line
-//! evictions) increment at exactly the event emission sites, so totals
-//! always equal what a [`crate::RecordingTracer`] replay of the same run
-//! would count.
+//! counter banks — the property the `repro metrics` CLI export relies on.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,8 +29,7 @@ use std::fmt::Write as _;
 use tls_ir::{BinOp, Instr, Terminator};
 
 use crate::adapt::Policy;
-use crate::events::{SignalKind, ViolationKind, WaitKind};
-use crate::stats::SimResult;
+use crate::events::{SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 
 /// Coarse opcode classes for the retired-instruction counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,182 +145,6 @@ pub fn violation_index(kind: ViolationKind) -> usize {
     }
 }
 
-/// Statically-dispatched counter bank, mirroring [`crate::Tracer`].
-///
-/// Every hook site in the machine is guarded with `if C::ENABLED`, so a
-/// [`NullCounters`] run compiles the counting out entirely. Implementors
-/// other than [`MachineCounters`] are possible (e.g. sampling sinks) but
-/// the shipped machine only distinguishes enabled from disabled.
-pub trait CounterSink {
-    /// `false` only for sinks whose hooks must compile out.
-    const ENABLED: bool = true;
-
-    /// One instruction (or terminator) of class `class` executed.
-    fn retire(&mut self, class: OpClass);
-    /// A cache access was served by `level`.
-    fn mem_access(&mut self, level: MemLevel);
-    /// An L1 line was evicted by a speculative-load fill (`speculative` if
-    /// the evicted line was in the epoch's read or write set).
-    fn line_evict(&mut self, speculative: bool);
-    /// A speculative store entered a write buffer.
-    fn spec_store(&mut self);
-    /// A speculative load completed (`exposed` if it read beyond the
-    /// epoch's own write buffer).
-    fn spec_load(&mut self, exposed: bool);
-    /// A committed epoch drained one word to memory.
-    fn commit_write(&mut self);
-    /// An epoch committed.
-    fn epoch_commit(&mut self);
-    /// An epoch attempt was squashed.
-    fn epoch_squash(&mut self);
-    /// Write-buffer occupancy after a store (high-water tracking).
-    fn wb_occupancy(&mut self, words: usize, lines: usize);
-    /// A signal was sent (exactly the `SignalSend` trace sites).
-    fn signal_send(&mut self, kind: SignalKind);
-    /// A forwarded value was received (exactly the `SignalRecv` sites).
-    fn signal_recv(&mut self, kind: SignalKind);
-    /// A violation was detected (exactly the `Violation` trace sites).
-    fn violation(&mut self, kind: ViolationKind);
-    /// An epoch began waiting (`WaitBegin` sites).
-    fn wait(&mut self, kind: WaitKind);
-    /// A hardware value prediction was consumed by a load.
-    fn predicted_load(&mut self);
-    /// `n` predictions passed commit-time verification.
-    fn predictions_verified(&mut self, n: u64);
-    /// The adaptive controller switched a dependence to policy `to`
-    /// (exactly the `PolicyTransition` trace sites).
-    fn policy_transition(&mut self, to: Policy);
-    /// The adaptive controller bulk-reset all policies on a distribution
-    /// shift (exactly the `Reprofile` trace sites).
-    fn reprofile(&mut self);
-    /// Copy the final counter bank into the run's [`SimResult`].
-    fn publish(&self, result: &mut SimResult);
-}
-
-/// The disabled sink: every hook compiles out ([`CounterSink::ENABLED`] is
-/// `false`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullCounters;
-
-impl CounterSink for NullCounters {
-    const ENABLED: bool = false;
-
-    #[inline]
-    fn retire(&mut self, _class: OpClass) {}
-    #[inline]
-    fn mem_access(&mut self, _level: MemLevel) {}
-    #[inline]
-    fn line_evict(&mut self, _speculative: bool) {}
-    #[inline]
-    fn spec_store(&mut self) {}
-    #[inline]
-    fn spec_load(&mut self, _exposed: bool) {}
-    #[inline]
-    fn commit_write(&mut self) {}
-    #[inline]
-    fn epoch_commit(&mut self) {}
-    #[inline]
-    fn epoch_squash(&mut self) {}
-    #[inline]
-    fn wb_occupancy(&mut self, _words: usize, _lines: usize) {}
-    #[inline]
-    fn signal_send(&mut self, _kind: SignalKind) {}
-    #[inline]
-    fn signal_recv(&mut self, _kind: SignalKind) {}
-    #[inline]
-    fn violation(&mut self, _kind: ViolationKind) {}
-    #[inline]
-    fn wait(&mut self, _kind: WaitKind) {}
-    #[inline]
-    fn predicted_load(&mut self) {}
-    #[inline]
-    fn predictions_verified(&mut self, _n: u64) {}
-    #[inline]
-    fn policy_transition(&mut self, _to: Policy) {}
-    #[inline]
-    fn reprofile(&mut self) {}
-    #[inline]
-    fn publish(&self, _result: &mut SimResult) {}
-}
-
-/// Forward through a mutable reference (same pattern as `Tracer`).
-impl<C: CounterSink> CounterSink for &mut C {
-    const ENABLED: bool = C::ENABLED;
-
-    #[inline]
-    fn retire(&mut self, class: OpClass) {
-        (**self).retire(class);
-    }
-    #[inline]
-    fn mem_access(&mut self, level: MemLevel) {
-        (**self).mem_access(level);
-    }
-    #[inline]
-    fn line_evict(&mut self, speculative: bool) {
-        (**self).line_evict(speculative);
-    }
-    #[inline]
-    fn spec_store(&mut self) {
-        (**self).spec_store();
-    }
-    #[inline]
-    fn spec_load(&mut self, exposed: bool) {
-        (**self).spec_load(exposed);
-    }
-    #[inline]
-    fn commit_write(&mut self) {
-        (**self).commit_write();
-    }
-    #[inline]
-    fn epoch_commit(&mut self) {
-        (**self).epoch_commit();
-    }
-    #[inline]
-    fn epoch_squash(&mut self) {
-        (**self).epoch_squash();
-    }
-    #[inline]
-    fn wb_occupancy(&mut self, words: usize, lines: usize) {
-        (**self).wb_occupancy(words, lines);
-    }
-    #[inline]
-    fn signal_send(&mut self, kind: SignalKind) {
-        (**self).signal_send(kind);
-    }
-    #[inline]
-    fn signal_recv(&mut self, kind: SignalKind) {
-        (**self).signal_recv(kind);
-    }
-    #[inline]
-    fn violation(&mut self, kind: ViolationKind) {
-        (**self).violation(kind);
-    }
-    #[inline]
-    fn wait(&mut self, kind: WaitKind) {
-        (**self).wait(kind);
-    }
-    #[inline]
-    fn predicted_load(&mut self) {
-        (**self).predicted_load();
-    }
-    #[inline]
-    fn predictions_verified(&mut self, n: u64) {
-        (**self).predictions_verified(n);
-    }
-    #[inline]
-    fn policy_transition(&mut self, to: Policy) {
-        (**self).policy_transition(to);
-    }
-    #[inline]
-    fn reprofile(&mut self) {
-        (**self).reprofile();
-    }
-    #[inline]
-    fn publish(&self, result: &mut SimResult) {
-        (**self).publish(result);
-    }
-}
-
 /// The counter bank itself: plain `u64` slots, deterministic for a given
 /// module and configuration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -339,8 +159,8 @@ pub struct MachineCounters {
     pub l2_hits: u64,
     /// Accesses that went to main memory.
     pub mem_fetches: u64,
-    /// Valid L1 lines evicted by speculative-load fills (exactly the
-    /// `LineEvict` trace sites).
+    /// Valid L1 lines evicted by speculative-load fills (one per
+    /// `LineEvict` event).
     pub line_evictions: u64,
     /// The subset of `line_evictions` that held the epoch's speculative
     /// read- or write-set state.
@@ -541,11 +361,54 @@ impl MachineCounters {
     }
 }
 
-impl CounterSink for MachineCounters {
+impl Tracer for MachineCounters {
+    fn event(&mut self, e: TraceEvent) {
+        match e {
+            TraceEvent::Violation { kind, .. } => self.violations[violation_index(kind)] += 1,
+            TraceEvent::SignalSend { kind, .. } => match kind {
+                SignalKind::Scalar(_) => self.signal_sends_scalar += 1,
+                SignalKind::Mem(_) => self.signal_sends_mem += 1,
+                SignalKind::MemNull(_) => self.signal_sends_mem_null += 1,
+            },
+            TraceEvent::SignalRecv { kind, .. } => match kind {
+                SignalKind::Scalar(_) => self.signal_recvs_scalar += 1,
+                SignalKind::Mem(_) | SignalKind::MemNull(_) => self.signal_recvs_mem += 1,
+            },
+            TraceEvent::WaitBegin { kind, .. } => match kind {
+                WaitKind::Scalar(_) => self.waits_scalar += 1,
+                WaitKind::Mem(_) => self.waits_mem += 1,
+                WaitKind::Oldest => self.waits_oldest += 1,
+            },
+            TraceEvent::LineEvict { speculative, .. } => {
+                self.line_evictions += 1;
+                if speculative {
+                    self.spec_line_evictions += 1;
+                }
+            }
+            TraceEvent::SpecStore { .. } => self.spec_stores += 1,
+            TraceEvent::SpecLoad { exposed: true, .. } => self.spec_loads_exposed += 1,
+            TraceEvent::SpecLoad { exposed: false, .. } => self.spec_loads_buffered += 1,
+            TraceEvent::PredictedLoad { .. } => self.predicted_loads += 1,
+            TraceEvent::CommitWrite { .. } => self.commit_writes += 1,
+            TraceEvent::EpochCommit { .. } => self.epochs_committed += 1,
+            TraceEvent::EpochSquash { .. } => self.epochs_squashed += 1,
+            TraceEvent::PolicyTransition { to, .. } => self.policy_transitions[to.index()] += 1,
+            TraceEvent::Reprofile { .. } => self.reprofiles += 1,
+            TraceEvent::RegionEnter { .. }
+            | TraceEvent::RegionExit { .. }
+            | TraceEvent::EpochSpawn { .. }
+            | TraceEvent::EpochCancel { .. }
+            | TraceEvent::WaitEnd { .. }
+            | TraceEvent::SlotSample { .. }
+            | TraceEvent::FaultInject { .. } => {}
+        }
+    }
+
     #[inline]
     fn retire(&mut self, class: OpClass) {
         self.retired[class.index()] += 1;
     }
+
     #[inline]
     fn mem_access(&mut self, level: MemLevel) {
         match level {
@@ -554,93 +417,184 @@ impl CounterSink for MachineCounters {
             MemLevel::Mem => self.mem_fetches += 1,
         }
     }
-    #[inline]
-    fn line_evict(&mut self, speculative: bool) {
-        self.line_evictions += 1;
-        if speculative {
-            self.spec_line_evictions += 1;
-        }
-    }
-    #[inline]
-    fn spec_store(&mut self) {
-        self.spec_stores += 1;
-    }
-    #[inline]
-    fn spec_load(&mut self, exposed: bool) {
-        if exposed {
-            self.spec_loads_exposed += 1;
-        } else {
-            self.spec_loads_buffered += 1;
-        }
-    }
-    #[inline]
-    fn commit_write(&mut self) {
-        self.commit_writes += 1;
-    }
-    #[inline]
-    fn epoch_commit(&mut self) {
-        self.epochs_committed += 1;
-    }
-    #[inline]
-    fn epoch_squash(&mut self) {
-        self.epochs_squashed += 1;
-    }
+
     #[inline]
     fn wb_occupancy(&mut self, words: usize, lines: usize) {
         self.wb_words_high_water = self.wb_words_high_water.max(words as u64);
         self.wb_lines_high_water = self.wb_lines_high_water.max(lines as u64);
     }
-    #[inline]
-    fn signal_send(&mut self, kind: SignalKind) {
-        match kind {
-            SignalKind::Scalar(_) => self.signal_sends_scalar += 1,
-            SignalKind::Mem(_) => self.signal_sends_mem += 1,
-            SignalKind::MemNull(_) => self.signal_sends_mem_null += 1,
-        }
-    }
-    #[inline]
-    fn signal_recv(&mut self, kind: SignalKind) {
-        match kind {
-            SignalKind::Scalar(_) => self.signal_recvs_scalar += 1,
-            SignalKind::Mem(_) | SignalKind::MemNull(_) => self.signal_recvs_mem += 1,
-        }
-    }
-    #[inline]
-    fn violation(&mut self, kind: ViolationKind) {
-        self.violations[violation_index(kind)] += 1;
-    }
-    #[inline]
-    fn wait(&mut self, kind: WaitKind) {
-        match kind {
-            WaitKind::Scalar(_) => self.waits_scalar += 1,
-            WaitKind::Mem(_) => self.waits_mem += 1,
-            WaitKind::Oldest => self.waits_oldest += 1,
-        }
-    }
-    #[inline]
-    fn predicted_load(&mut self) {
-        self.predicted_loads += 1;
-    }
+
     #[inline]
     fn predictions_verified(&mut self, n: u64) {
         self.predictions_verified += n;
-    }
-    #[inline]
-    fn policy_transition(&mut self, to: Policy) {
-        self.policy_transitions[to.index()] += 1;
-    }
-    #[inline]
-    fn reprofile(&mut self) {
-        self.reprofiles += 1;
-    }
-    fn publish(&self, result: &mut SimResult) {
-        result.counters = Some(Box::new(self.clone()));
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use tls_ir::{ChanId, GroupId, RegionId, Sid};
+
     use super::*;
+    use crate::inject::FaultClass;
+    use crate::stats::SlotBreakdown;
+
+    // Field values shared by the test events; only the counted kind and
+    // its flags matter to the bank.
+    const RID: RegionId = RegionId(0);
+    const SID: Sid = Sid(1);
+
+    #[rustfmt::skip]
+    fn violation(kind: ViolationKind) -> TraceEvent {
+        let (rid, ord, consumer, core, time) = (RID, 0, 1, 1, 9);
+        let (load_sid, store_sid, addr, producer) = (Some(SID), Some(Sid(2)), Some(64), Some(0));
+        TraceEvent::Violation {
+            rid, ord, kind, load_sid, store_sid, addr, producer, consumer, core, time,
+        }
+    }
+
+    #[rustfmt::skip]
+    fn send(kind: SignalKind) -> TraceEvent {
+        let (rid, ord, epoch, core, addr, value, time) = (RID, 0, 0, 0, None, 3, 4);
+        TraceEvent::SignalSend { rid, ord, epoch, core, kind, addr, value, time }
+    }
+
+    #[rustfmt::skip]
+    fn recv(kind: SignalKind) -> TraceEvent {
+        let (rid, ord, epoch, core, addr, value, time) = (RID, 0, 1, 1, None, 3, 6);
+        TraceEvent::SignalRecv { rid, ord, epoch, core, kind, addr, value, time }
+    }
+
+    #[rustfmt::skip]
+    fn wait(kind: WaitKind) -> TraceEvent {
+        let (rid, ord, epoch, core, time) = (RID, 0, 1, 1, 5);
+        TraceEvent::WaitBegin { rid, ord, epoch, core, kind, time }
+    }
+
+    #[rustfmt::skip]
+    fn evict(speculative: bool) -> TraceEvent {
+        TraceEvent::LineEvict { core: 1, line: 2, speculative, time: 7 }
+    }
+
+    #[rustfmt::skip]
+    fn spec_load(exposed: bool) -> TraceEvent {
+        let (rid, ord, epoch, core, sid, addr, value, time) = (RID, 0, 1, 1, SID, 64, 3, 8);
+        TraceEvent::SpecLoad { rid, ord, epoch, core, sid, addr, value, exposed, time }
+    }
+
+    #[rustfmt::skip]
+    fn spec_store() -> TraceEvent {
+        let (rid, ord, epoch, core, sid, addr, value, time) = (RID, 0, 0, 0, Sid(2), 64, 3, 4);
+        TraceEvent::SpecStore { rid, ord, epoch, core, sid, addr, value, time }
+    }
+
+    #[rustfmt::skip]
+    fn predicted_load() -> TraceEvent {
+        let (rid, ord, epoch, core, sid, addr, value, time) = (RID, 0, 1, 1, SID, 64, 3, 8);
+        TraceEvent::PredictedLoad { rid, ord, epoch, core, sid, addr, value, time }
+    }
+
+    #[rustfmt::skip]
+    fn transition(to: Policy) -> TraceEvent {
+        let (rid, ord, epoch, core, sid, from, time) = (RID, 0, 1, 1, SID, Policy::Forward, 5);
+        TraceEvent::PolicyTransition { rid, ord, epoch, core, sid, from, to, time }
+    }
+
+    #[rustfmt::skip]
+    fn reprofile() -> TraceEvent {
+        TraceEvent::Reprofile { rid: RID, ord: 0, time: 5 }
+    }
+
+    /// One event of every variant (and of every counted sub-kind), with
+    /// the rows it must move by one. Uncounted kinds move nothing.
+    #[rustfmt::skip]
+    fn one_of_every_event() -> Vec<(TraceEvent, Vec<&'static str>)> {
+        let (rid, ord, epoch, core) = (RID, 0, 1, 1);
+        let (start, end, restart) = (1, 10, 12);
+        let (load_sid, store_sid, slots) = (None, None, SlotBreakdown::default());
+        let fault = FaultClass::DropSignal;
+        vec![
+            (TraceEvent::RegionEnter { rid, ord, time: 0 }, vec![]),
+            (TraceEvent::RegionExit { rid, ord, time: 20 }, vec![]),
+            (TraceEvent::EpochSpawn { rid, ord, epoch, core, time: 1 }, vec![]),
+            (
+                TraceEvent::EpochCommit {
+                    rid, ord, epoch, core, start, end, graduated: 8, sync_cycles: 0,
+                },
+                vec!["spec.epochs_committed"],
+            ),
+            (
+                TraceEvent::EpochSquash {
+                    rid, ord, epoch, core, start, end, restart, load_sid, store_sid,
+                },
+                vec!["spec.epochs_squashed"],
+            ),
+            (TraceEvent::EpochCancel { rid, ord, epoch, core, start, end }, vec![]),
+            (violation(ViolationKind::Eager), vec!["violations.eager"]),
+            (violation(ViolationKind::CommitTime), vec!["violations.commit_time"]),
+            (violation(ViolationKind::Resignal), vec!["violations.resignal"]),
+            (violation(ViolationKind::Mispredict), vec!["violations.mispredict"]),
+            (wait(WaitKind::Scalar(ChanId(0))), vec!["waits.scalar"]),
+            (wait(WaitKind::Mem(GroupId(0))), vec!["waits.mem"]),
+            (wait(WaitKind::Oldest), vec!["waits.oldest"]),
+            (
+                TraceEvent::WaitEnd {
+                    rid, ord, epoch, core, kind: WaitKind::Oldest, since: 5, time: 9,
+                },
+                vec![],
+            ),
+            (send(SignalKind::Scalar(ChanId(0))), vec!["signal.sends_scalar"]),
+            (send(SignalKind::Mem(GroupId(0))), vec!["signal.sends_mem"]),
+            (send(SignalKind::MemNull(GroupId(0))), vec!["signal.sends_mem_null"]),
+            (recv(SignalKind::Scalar(ChanId(0))), vec!["signal.recvs_scalar"]),
+            (recv(SignalKind::Mem(GroupId(0))), vec!["signal.recvs_mem"]),
+            (recv(SignalKind::MemNull(GroupId(0))), vec!["signal.recvs_mem"]),
+            (evict(false), vec!["cache.line_evictions"]),
+            (evict(true), vec!["cache.line_evictions", "cache.spec_line_evictions"]),
+            (TraceEvent::SlotSample { rid, ord, time: 10, slots }, vec![]),
+            (spec_store(), vec!["spec.stores"]),
+            (spec_load(true), vec!["spec.loads_exposed"]),
+            (spec_load(false), vec!["spec.loads_buffered"]),
+            (predicted_load(), vec!["predict.loads"]),
+            (
+                TraceEvent::CommitWrite { rid, ord, epoch, addr: 64, value: 3, time: 10 },
+                vec!["spec.commit_writes"],
+            ),
+            (transition(Policy::Forward), vec!["adapt.to_forward"]),
+            (transition(Policy::Stall), vec!["adapt.to_stall"]),
+            (transition(Policy::Predict), vec!["adapt.to_predict"]),
+            (reprofile(), vec!["adapt.reprofiles"]),
+            (
+                TraceEvent::FaultInject { class: fault, epoch: Some(1), addr: Some(64), time: 4 },
+                vec![],
+            ),
+        ]
+    }
+
+    #[test]
+    fn each_event_kind_moves_exactly_its_own_rows() {
+        let cases = one_of_every_event();
+        for (e, moved) in &cases {
+            let mut c = MachineCounters::default();
+            c.event(*e);
+            for (row, v) in c.rows() {
+                let want = u64::from(moved.contains(&row.as_str()));
+                assert_eq!(v, want, "{e:?} moved row `{row}` to {v}");
+            }
+        }
+        // Every event variant is covered: the names of the variants fed in
+        // (the `Debug` prefix) form the full set of 20.
+        let variants: std::collections::BTreeSet<String> = cases
+            .iter()
+            .map(|(e, _)| {
+                format!("{e:?}")
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap_or("")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(variants.len(), 20, "{variants:?}");
+    }
 
     #[test]
     fn rows_and_json_are_deterministic_and_complete() {
@@ -650,16 +604,16 @@ mod tests {
         c.retire(OpClass::MulDiv);
         c.mem_access(MemLevel::L1);
         c.mem_access(MemLevel::Mem);
-        c.violation(ViolationKind::Eager);
-        c.violation(ViolationKind::Mispredict);
-        c.signal_send(SignalKind::Scalar(tls_ir::ChanId(0)));
-        c.signal_recv(SignalKind::Mem(tls_ir::GroupId(1)));
+        c.event(violation(ViolationKind::Eager));
+        c.event(violation(ViolationKind::Mispredict));
+        c.event(send(SignalKind::Scalar(ChanId(0))));
+        c.event(recv(SignalKind::Mem(GroupId(1))));
         c.wb_occupancy(7, 3);
         c.wb_occupancy(4, 5);
-        c.policy_transition(Policy::Stall);
-        c.policy_transition(Policy::Stall);
-        c.policy_transition(Policy::Predict);
-        c.reprofile();
+        c.event(transition(Policy::Stall));
+        c.event(transition(Policy::Stall));
+        c.event(transition(Policy::Predict));
+        c.event(reprofile());
         let rows = c.rows();
         assert_eq!(rows["adapt.to_stall"], 2);
         assert_eq!(rows["adapt.to_predict"], 1);
@@ -691,14 +645,14 @@ mod tests {
     #[test]
     fn merge_sums_counts_and_maxes_high_water() {
         let mut a = MachineCounters::default();
-        a.spec_store();
+        a.event(spec_store());
         a.wb_occupancy(10, 2);
         a.predictions_verified(3);
         let mut b = MachineCounters::default();
-        b.spec_store();
-        b.spec_store();
+        b.event(spec_store());
+        b.event(spec_store());
         b.wb_occupancy(6, 4);
-        b.predicted_load();
+        b.event(predicted_load());
         a.merge(&b);
         assert_eq!(a.spec_stores, 3);
         assert_eq!(a.wb_words_high_water, 10);
@@ -713,8 +667,8 @@ mod tests {
         assert_eq!(c.l1_hit_rate(), 0.0);
         assert_eq!(c.prediction_hit_rate(), 1.0);
         let mut c = MachineCounters::default();
-        c.predicted_load();
-        c.predicted_load();
+        c.event(predicted_load());
+        c.event(predicted_load());
         c.predictions_verified(1);
         assert_eq!(c.prediction_hit_rate(), 0.5);
         c.mem_access(MemLevel::L1);
@@ -731,8 +685,7 @@ mod tests {
             assert_eq!(c.index(), i);
         }
         // Distinct stable names.
-        let names: std::collections::BTreeSet<_> =
-            OpClass::ALL.iter().map(|c| c.name()).collect();
+        let names: std::collections::BTreeSet<_> = OpClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), OpClass::COUNT);
     }
 }

@@ -8,15 +8,19 @@
 //! which epoch stalled on which `wait`, which store→load edge caused each
 //! squash, and where the time of a `fail` or `sync` segment actually went.
 //!
-//! The [`Tracer`] trait is statically dispatched and zero-cost when
-//! disabled: every emission site in the machine is guarded by the
-//! associated constant [`Tracer::ENABLED`], so with the default
-//! [`NullTracer`] the event construction is compiled out of the hot loop
-//! entirely (the bench guard in `tls-experiments` pins this property).
+//! The [`Tracer`] trait is the simulator's single instrumentation seam.
+//! It is statically dispatched and zero-cost when disabled: every emission
+//! site in the machine is guarded by the associated constant
+//! [`Tracer::ENABLED`], so with the default [`NullTracer`] the event
+//! construction is compiled out of the hot loop entirely (the bench guards
+//! in `tls-experiments` pin this property). Recording
+//! ([`crate::RecordingTracer`]), counting ([`crate::MachineCounters`]) and
+//! every other consumer plug in here.
 
 use tls_ir::{ChanId, GroupId, RegionId, Sid};
 
 use crate::adapt::Policy;
+use crate::counters::{MemLevel, OpClass};
 use crate::inject::FaultClass;
 use crate::stats::SlotBreakdown;
 
@@ -451,11 +455,19 @@ impl TraceEvent {
     }
 }
 
-/// Receiver of simulator events, statically dispatched.
+/// Receiver of simulator events, statically dispatched: the simulator's
+/// one instrumentation seam.
 ///
 /// Implementations with `ENABLED = false` cost nothing: the machine guards
 /// every emission with `if T::ENABLED`, so the event value is never even
-/// constructed. Implementations are free to aggregate, record, or stream.
+/// constructed. Implementations are free to aggregate, record, or stream;
+/// [`crate::MachineCounters`] is the tracer that folds events into a
+/// counter bank.
+///
+/// Besides [`Tracer::event`], four high-rate hooks report what has no
+/// event of its own (instruction retirement, cache-level service, buffer
+/// occupancy and verified predictions). They default to no-ops, so a
+/// tracer that only wants the stream ignores them for free.
 pub trait Tracer {
     /// Gate for all emission sites; `false` compiles tracing out.
     const ENABLED: bool = true;
@@ -464,6 +476,22 @@ pub trait Tracer {
     /// simulator produced them (not necessarily sorted by timestamp:
     /// commit-ordered bookkeeping can emit slightly out of time order).
     fn event(&mut self, e: TraceEvent);
+
+    /// One instruction (or terminator) of class `class` executed.
+    #[inline(always)]
+    fn retire(&mut self, _class: OpClass) {}
+
+    /// A cache access was served by `level`.
+    #[inline(always)]
+    fn mem_access(&mut self, _level: MemLevel) {}
+
+    /// Write-buffer occupancy right after a speculative store.
+    #[inline(always)]
+    fn wb_occupancy(&mut self, _words: usize, _lines: usize) {}
+
+    /// `n` value predictions passed verification as their epoch committed.
+    #[inline(always)]
+    fn predictions_verified(&mut self, _n: u64) {}
 }
 
 /// The default tracer: does nothing, compiled out of the hot loop.
@@ -484,6 +512,26 @@ impl<T: Tracer> Tracer for &mut T {
     #[inline(always)]
     fn event(&mut self, e: TraceEvent) {
         (**self).event(e);
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, class: OpClass) {
+        (**self).retire(class);
+    }
+
+    #[inline(always)]
+    fn mem_access(&mut self, level: MemLevel) {
+        (**self).mem_access(level);
+    }
+
+    #[inline(always)]
+    fn wb_occupancy(&mut self, words: usize, lines: usize) {
+        (**self).wb_occupancy(words, lines);
+    }
+
+    #[inline(always)]
+    fn predictions_verified(&mut self, n: u64) {
+        (**self).predictions_verified(n);
     }
 }
 

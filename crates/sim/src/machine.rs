@@ -32,7 +32,7 @@ use tls_profile::{Memory, OracleKey, ValueOracle};
 use crate::adapt::{AdaptController, Outcome as AdaptOutcome, Policy};
 use crate::cache::MemSystem;
 use crate::config::{OracleSel, SimConfig, SyncLoadPolicy};
-use crate::counters::{CounterSink, MachineCounters, NullCounters, OpClass};
+use crate::counters::{MachineCounters, OpClass};
 use crate::events::{NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 use crate::hwsync::{ValuePredictor, ViolationTable};
 use crate::inject::{EagerFault, FaultClass, SignalFault, CORRUPT_ADDR_XOR};
@@ -359,10 +359,25 @@ impl<'m> Machine<'m> {
     /// # Errors
     /// See [`SimError`].
     pub fn run(self) -> Result<SimResult, SimError> {
-        self.run_instrumented(&mut NullTracer, &mut NullCounters)
+        self.run_traced(&mut NullTracer)
     }
 
-    /// Like [`Machine::run`], streaming typed [`TraceEvent`]s to `tracer`.
+    /// Like [`Machine::run`], maintaining a [`MachineCounters`] bank (a
+    /// tracer that folds the event stream) that is surfaced in
+    /// [`SimResult::counters`]. Counting is observational only: timing,
+    /// outputs and statistics are identical to [`Machine::run`].
+    ///
+    /// # Errors
+    /// See [`SimError`].
+    pub fn run_counted(self) -> Result<SimResult, SimError> {
+        let mut counters = MachineCounters::default();
+        let mut result = self.run_traced(&mut counters)?;
+        result.counters = Some(Box::new(counters));
+        Ok(result)
+    }
+
+    /// Like [`Machine::run`], streaming typed [`TraceEvent`]s and the
+    /// [`Tracer`] hooks to `tracer`.
     ///
     /// Tracing is statically dispatched and observational only: for any
     /// tracer the simulated timing, outputs and statistics are identical to
@@ -371,33 +386,7 @@ impl<'m> Machine<'m> {
     ///
     /// # Errors
     /// See [`SimError`].
-    pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> Result<SimResult, SimError> {
-        self.run_instrumented(tracer, &mut NullCounters)
-    }
-
-    /// Like [`Machine::run`], maintaining a [`MachineCounters`] bank that
-    /// is surfaced in [`SimResult::counters`]. Counting is observational
-    /// only: timing, outputs and statistics are identical to
-    /// [`Machine::run`].
-    ///
-    /// # Errors
-    /// See [`SimError`].
-    pub fn run_counted(self) -> Result<SimResult, SimError> {
-        self.run_instrumented(&mut NullTracer, &mut MachineCounters::default())
-    }
-
-    /// The fully-general driver: stream events to `tracer` and counts to
-    /// `counters`, each statically dispatched ([`NullTracer`] /
-    /// [`NullCounters`] compile their hooks out). An enabled counter sink
-    /// publishes its final bank into [`SimResult::counters`].
-    ///
-    /// # Errors
-    /// See [`SimError`].
-    pub fn run_instrumented<T: Tracer, C: CounterSink>(
-        mut self,
-        tracer: &mut T,
-        counters: &mut C,
-    ) -> Result<SimResult, SimError> {
+    pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> Result<SimResult, SimError> {
         let entry = self.module.func(self.module.entry);
         assert_eq!(entry.num_params, 0, "entry function must take no parameters");
         let mut frames = vec![Frame::new(self.module, self.module.entry, 0)];
@@ -414,11 +403,18 @@ impl<'m> Machine<'m> {
             if frame.idx < self.code.lens[cb] as usize {
                 let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
                 frame.idx += 1;
-                self.exec_seq_instr(instr, &mut frames, &mut timer, seq_core, &seq_regions, counters)?;
+                self.exec_seq_instr(
+                    instr,
+                    &mut frames,
+                    &mut timer,
+                    seq_core,
+                    &seq_regions,
+                    tracer,
+                )?;
             } else {
                 let term = self.code.terms[cb];
-                if C::ENABLED {
-                    counters.retire(OpClass::of_term(&term));
+                if T::ENABLED {
+                    tracer.retire(OpClass::of_term(&term));
                 }
                 match term {
                     Terminator::Jump(to) => {
@@ -429,7 +425,6 @@ impl<'m> Machine<'m> {
                             seq_core,
                             &mut seq_regions,
                             tracer,
-                            counters,
                         )?;
                     }
                     Terminator::Br { cond, t, f } => {
@@ -449,7 +444,6 @@ impl<'m> Machine<'m> {
                             seq_core,
                             &mut seq_regions,
                             tracer,
-                            counters,
                         )?;
                     }
                     Terminator::Ret(v) => {
@@ -487,9 +481,6 @@ impl<'m> Machine<'m> {
         if let Some(plan) = &self.config.inject {
             self.result.faults = plan.summary();
         }
-        if C::ENABLED {
-            counters.publish(&mut self.result);
-        }
         Ok(self.result)
     }
 
@@ -504,17 +495,17 @@ impl<'m> Machine<'m> {
     }
 
     /// Execute one sequential-mode instruction.
-    fn exec_seq_instr<C: CounterSink>(
+    fn exec_seq_instr<T: Tracer>(
         &mut self,
         instr: &Instr,
         frames: &mut Vec<Frame>,
         timer: &mut CoreTimer,
         core: usize,
         seq_regions: &[SeqRegion],
-        counters: &mut C,
+        tracer: &mut T,
     ) -> Result<(), SimError> {
-        if C::ENABLED {
-            counters.retire(OpClass::of(instr));
+        if T::ENABLED {
+            tracer.retire(OpClass::of(instr));
         }
         let frame = frames.last_mut().expect("nonempty");
         match instr {
@@ -537,8 +528,8 @@ impl<'m> Machine<'m> {
                 let (a, r) = self.eval(frame, *addr);
                 let a = a.wrapping_add(*off);
                 let lat = self.caches.access(core, a);
-                if C::ENABLED {
-                    counters.mem_access(self.caches.level_of(lat));
+                if T::ENABLED {
+                    tracer.mem_access(self.caches.level_of(lat));
                 }
                 let (issue, complete) = timer.issue(r, lat);
                 self.time = issue;
@@ -550,8 +541,8 @@ impl<'m> Machine<'m> {
                 let (v, rv) = self.eval(frame, *val);
                 let a = a.wrapping_add(*off);
                 let lat = self.caches.access(core, a);
-                if C::ENABLED {
-                    counters.mem_access(self.caches.level_of(lat));
+                if T::ENABLED {
+                    tracer.mem_access(self.caches.level_of(lat));
                 }
                 let (issue, _) = timer.issue(ra.max(rv), self.config.lat_alu);
                 self.time = issue;
@@ -607,7 +598,7 @@ impl<'m> Machine<'m> {
     /// Sequential-mode control transfer; may enter a region (parallel mode)
     /// or maintain sequential-region bookkeeping.
     #[allow(clippy::too_many_arguments)]
-    fn seq_transfer<T: Tracer, C: CounterSink>(
+    fn seq_transfer<T: Tracer>(
         &mut self,
         to: BlockId,
         frames: &mut [Frame],
@@ -615,7 +606,6 @@ impl<'m> Machine<'m> {
         seq_core: usize,
         seq_regions: &mut Vec<SeqRegion>,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<(), SimError> {
         let depth = frames.len();
         let frame_func = frames.last().expect("nonempty").func;
@@ -632,7 +622,7 @@ impl<'m> Machine<'m> {
             if self.config.parallelize {
                 let ord = self.region_ord;
                 self.region_ord += 1;
-                self.run_region(rid, ord, to, frames, timer, seq_core, tracer, counters)?;
+                self.run_region(rid, ord, to, frames, timer, seq_core, tracer)?;
                 return Ok(());
             }
             // Sequential attribution.
@@ -691,7 +681,7 @@ impl<'m> Machine<'m> {
     /// Execute one region instance in parallel; on return, `frames`'s top
     /// frame has been advanced past the loop.
     #[allow(clippy::too_many_arguments)]
-    fn run_region<T: Tracer, C: CounterSink>(
+    fn run_region<T: Tracer>(
         &mut self,
         rid: RegionId,
         ord: u64,
@@ -700,7 +690,6 @@ impl<'m> Machine<'m> {
         timer: &mut CoreTimer,
         seq_core: usize,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<(), SimError> {
         let t0 = self.time;
         if T::ENABLED {
@@ -799,7 +788,6 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         tracer,
-                        counters,
                     );
                     continue;
                 }
@@ -807,9 +795,8 @@ impl<'m> Machine<'m> {
                     + self.config.commit_overhead
                     + self.config.commit_per_line * epochs[0].wb.dirty_lines() as u64;
                 let e = epochs.remove(0);
-                if C::ENABLED {
-                    counters.epoch_commit();
-                    counters.predictions_verified(e.predicted.len() as u64);
+                if T::ENABLED {
+                    tracer.predictions_verified(e.predicted.len() as u64);
                 }
                 for (a, v) in e.wb.iter() {
                     let mut v = v;
@@ -842,9 +829,6 @@ impl<'m> Machine<'m> {
                     self.mem.write(a, v);
                     self.caches.install(e.core, a);
                     self.caches.invalidate_others(e.core, a);
-                    if C::ENABLED {
-                        counters.commit_write();
-                    }
                 }
                 for (chan, (v, _)) in &e.sync.out_scalars {
                     self.chan_regs[chan.index()] = *v;
@@ -940,7 +924,6 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         tracer,
-                        counters,
                     );
                 }
                 if let Some(exit_block) = exit {
@@ -1061,7 +1044,6 @@ impl<'m> Machine<'m> {
                 &committed_out,
                 &mut pendings,
                 tracer,
-                counters,
             )?;
             if let Some(req) = req {
                 self.squash(
@@ -1075,7 +1057,6 @@ impl<'m> Machine<'m> {
                     rid,
                     ord,
                     tracer,
-                    counters,
                 );
             }
         };
@@ -1137,14 +1118,13 @@ impl<'m> Machine<'m> {
         });
     }
 
-    /// Emit the trace events and counter increments for one adaptive
-    /// controller consultation (policy switch and/or re-profile). The
-    /// controller itself never sees the tracer: every emission stays
-    /// co-located with the machine state change, like all other sites.
+    /// Emit the trace events for one adaptive controller consultation
+    /// (policy switch and/or re-profile). The controller itself never sees
+    /// the tracer: every emission stays co-located with the machine state
+    /// change, like all other sites.
     #[allow(clippy::too_many_arguments)]
-    fn emit_adapt<T: Tracer, C: CounterSink>(
+    fn emit_adapt<T: Tracer>(
         tracer: &mut T,
-        counters: &mut C,
         rid: RegionId,
         ord: u64,
         epoch: u64,
@@ -1153,36 +1133,29 @@ impl<'m> Machine<'m> {
         out: &AdaptOutcome,
         time: u64,
     ) {
+        if !T::ENABLED {
+            return;
+        }
         if out.reprofiled {
-            if C::ENABLED {
-                counters.reprofile();
-            }
-            if T::ENABLED {
-                tracer.event(TraceEvent::Reprofile { rid, ord, time });
-            }
+            tracer.event(TraceEvent::Reprofile { rid, ord, time });
         }
         if let Some((from, to)) = out.transition {
-            if C::ENABLED {
-                counters.policy_transition(to);
-            }
-            if T::ENABLED {
-                tracer.event(TraceEvent::PolicyTransition {
-                    rid,
-                    ord,
-                    epoch,
-                    core,
-                    sid,
-                    from,
-                    to,
-                    time,
-                });
-            }
+            tracer.event(TraceEvent::PolicyTransition {
+                rid,
+                ord,
+                epoch,
+                core,
+                sid,
+                from,
+                to,
+                time,
+            });
         }
     }
 
     /// Squash `req.victim` and every later active epoch; restart them.
     #[allow(clippy::too_many_arguments)]
-    fn squash<T: Tracer, C: CounterSink>(
+    fn squash<T: Tracer>(
         &mut self,
         epochs: &mut [Epoch],
         base: &Frame,
@@ -1194,12 +1167,8 @@ impl<'m> Machine<'m> {
         rid: RegionId,
         ord: u64,
         tracer: &mut T,
-        counters: &mut C,
     ) {
         let w = self.config.issue_width;
-        if C::ENABLED {
-            counters.violation(req.kind);
-        }
         if T::ENABLED {
             let core = epochs
                 .iter()
@@ -1240,9 +1209,7 @@ impl<'m> Machine<'m> {
                     .iter()
                     .find(|e| e.index == req.victim)
                     .map_or(0, |e| e.core);
-                Self::emit_adapt(
-                    tracer, counters, rid, ord, req.victim, core, sid, &out, req.time,
-                );
+                Self::emit_adapt(tracer, rid, ord, req.victim, core, sid, &out, req.time);
             }
         }
         for e in epochs.iter_mut().filter(|e| e.index >= req.victim) {
@@ -1251,9 +1218,6 @@ impl<'m> Machine<'m> {
             stats.slots.fail += cycles * w;
             *attributed += cycles * w;
             stats.violations += 1;
-            if C::ENABLED {
-                counters.epoch_squash();
-            }
             let restart = req.time.max(e.clock) + self.config.restart_penalty;
             if T::ENABLED {
                 Self::emit_wait_end(tracer, rid, ord, e, now);
@@ -1294,7 +1258,7 @@ impl<'m> Machine<'m> {
     /// Execute one instruction (or terminator) of epoch `i`; returns a
     /// squash request if the step violated a later epoch.
     #[allow(clippy::too_many_arguments)]
-    fn step_epoch<T: Tracer, C: CounterSink>(
+    fn step_epoch<T: Tracer>(
         &mut self,
         epochs: &mut [Epoch],
         i: usize,
@@ -1304,7 +1268,6 @@ impl<'m> Machine<'m> {
         committed_out: &SyncState,
         pendings: &mut Vec<Pending>,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<Option<SquashReq>, SimError> {
         let (older, rest) = epochs.split_at_mut(i);
         let (cur, younger) = rest.split_at_mut(1);
@@ -1318,8 +1281,8 @@ impl<'m> Machine<'m> {
         if frame.idx >= self.code.lens[cb] as usize {
             // Terminator.
             let term = self.code.terms[cb];
-            if C::ENABLED {
-                counters.retire(OpClass::of_term(&term));
+            if T::ENABLED {
+                tracer.retire(OpClass::of_term(&term));
             }
             match term {
                 Terminator::Jump(to) => {
@@ -1360,8 +1323,8 @@ impl<'m> Machine<'m> {
         }
 
         let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
-        if C::ENABLED {
-            counters.retire(OpClass::of(instr));
+        if T::ENABLED {
+            tracer.retire(OpClass::of(instr));
         }
         match instr {
             Instr::Assign { dst, src } => {
@@ -1415,9 +1378,6 @@ impl<'m> Machine<'m> {
                 match pred_out.out_scalars.get(chan) {
                     None => {
                         e.status = Status::WaitScalar(*chan, e.clock);
-                        if C::ENABLED {
-                            counters.wait(WaitKind::Scalar(*chan));
-                        }
                         // Do not advance idx: re-execute on wake.
                         if T::ENABLED {
                             tracer.event(TraceEvent::WaitBegin {
@@ -1436,9 +1396,6 @@ impl<'m> Machine<'m> {
                         frame.regs[dst.index()] = v;
                         frame.ready[dst.index()] = complete;
                         frame.idx += 1;
-                        if C::ENABLED {
-                            counters.signal_recv(SignalKind::Scalar(*chan));
-                        }
                         if T::ENABLED {
                             tracer.event(TraceEvent::SignalRecv {
                                 rid,
@@ -1476,9 +1433,6 @@ impl<'m> Machine<'m> {
                 }
                 e.sync.out_scalars.insert(*chan, (v, ready_at));
                 frame.idx += 1;
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::Scalar(*chan));
-                }
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
@@ -1549,9 +1503,6 @@ impl<'m> Machine<'m> {
                     e.sync.push_sig_buf(*group, a);
                 }
                 frame.idx += 1;
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::Mem(*group));
-                }
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
@@ -1608,9 +1559,6 @@ impl<'m> Machine<'m> {
                         );
                     }
                 }
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::MemNull(*group));
-                }
                 if T::ENABLED {
                     let sent = e.sync.out_mems[group];
                     tracer.event(TraceEvent::SignalSend {
@@ -1633,11 +1581,8 @@ impl<'m> Machine<'m> {
                 let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
                 e.clock = issue;
                 e.wb.store(a, v, *sid);
-                if C::ENABLED {
-                    counters.spec_store();
-                    counters.wb_occupancy(e.wb.len(), e.wb.dirty_lines());
-                }
                 if T::ENABLED {
+                    tracer.wb_occupancy(e.wb.len(), e.wb.dirty_lines());
                     tracer.event(TraceEvent::SpecStore {
                         rid,
                         ord,
@@ -1665,9 +1610,6 @@ impl<'m> Machine<'m> {
                             ready_at: issue + self.config.forward_lat,
                         },
                     );
-                    if C::ENABLED {
-                        counters.signal_send(SignalKind::Mem(g));
-                    }
                     if T::ENABLED {
                         tracer.event(TraceEvent::SignalSend {
                             rid,
@@ -1780,8 +1722,8 @@ impl<'m> Machine<'m> {
                 };
                 if let Some(v) = oracle_hit {
                     let lat = self.caches.access(e.core, a);
-                    if C::ENABLED {
-                        counters.mem_access(self.caches.level_of(lat));
+                    if T::ENABLED {
+                        tracer.mem_access(self.caches.level_of(lat));
                     }
                     let (issue, complete) = e.timer.issue(r, lat);
                     e.clock = issue;
@@ -1801,9 +1743,6 @@ impl<'m> Machine<'m> {
                 if !is_oldest && (hw_flagged || mark_flagged) {
                     e.occ[sid.index()] -= 1;
                     e.status = Status::WaitOldest(e.clock);
-                    if C::ENABLED {
-                        counters.wait(WaitKind::Oldest);
-                    }
                     if T::ENABLED {
                         tracer.event(TraceEvent::WaitBegin {
                             rid,
@@ -1853,9 +1792,6 @@ impl<'m> Machine<'m> {
                         frame.regs[dst.index()] = pred;
                         frame.ready[dst.index()] = complete;
                         e.predicted.push((*sid, a, pred));
-                        if C::ENABLED {
-                            counters.predicted_load();
-                        }
                         if T::ENABLED {
                             tracer.event(TraceEvent::PredictedLoad {
                                 rid,
@@ -1883,16 +1819,11 @@ impl<'m> Machine<'m> {
                     let confident = self.predictor.predict(*sid).is_some();
                     let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
                     let out = ctl.decide(*sid, e.clock, confident);
-                    Self::emit_adapt(
-                        tracer, counters, rid, ord, e.index, e.core, *sid, &out, e.clock,
-                    );
+                    Self::emit_adapt(tracer, rid, ord, e.index, e.core, *sid, &out, e.clock);
                     match out.policy {
                         Policy::Stall => {
                             e.occ[sid.index()] -= 1;
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -1917,9 +1848,6 @@ impl<'m> Machine<'m> {
                                 if !self.config.break_adaptive_forwarding {
                                     e.predicted.push((*sid, a, pred));
                                 }
-                                if C::ENABLED {
-                                    counters.predicted_load();
-                                }
                                 if T::ENABLED {
                                     tracer.event(TraceEvent::PredictedLoad {
                                         rid,
@@ -1941,7 +1869,7 @@ impl<'m> Machine<'m> {
                 }
                 let dst = *dst;
                 let sid = *sid;
-                self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer, counters)?;
+                self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer)?;
                 e.frames.last_mut().expect("nonempty").idx += 1;
             }
             Instr::SyncLoad { dst, addr, off, group, sid } => {
@@ -1966,16 +1894,15 @@ impl<'m> Machine<'m> {
                             frame.ready[dst.index()] = complete;
                         } else {
                             e.occ[sid.index()] -= 1;
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                         }
                         e.frames.last_mut().expect("nonempty").idx += 1;
                     }
                     SyncLoadPolicy::StallTillOldest => {
                         if !is_oldest {
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -1987,7 +1914,9 @@ impl<'m> Machine<'m> {
                                 });
                             }
                         } else {
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                             e.frames.last_mut().expect("nonempty").idx += 1;
                         }
                     }
@@ -2004,15 +1933,10 @@ impl<'m> Machine<'m> {
                             let confident = self.predictor.predict(sid).is_some();
                             let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
                             let out = ctl.decide(sid, e.clock, confident);
-                            Self::emit_adapt(
-                                tracer, counters, rid, ord, e.index, e.core, sid, &out, e.clock,
-                            );
+                            Self::emit_adapt(tracer, rid, ord, e.index, e.core, sid, &out, e.clock);
                             match out.policy {
                                 Policy::Stall => {
                                     e.status = Status::WaitOldest(e.clock);
-                                    if C::ENABLED {
-                                        counters.wait(WaitKind::Oldest);
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::WaitBegin {
                                             rid,
@@ -2039,9 +1963,6 @@ impl<'m> Machine<'m> {
                                         // load site).
                                         if !self.config.break_adaptive_forwarding {
                                             e.predicted.push((sid, a, pred));
-                                        }
-                                        if C::ENABLED {
-                                            counters.predicted_load();
                                         }
                                         if T::ENABLED {
                                             tracer.event(TraceEvent::PredictedLoad {
@@ -2083,9 +2004,6 @@ impl<'m> Machine<'m> {
                             && self.viol_table.contains(sid, e.clock)
                         {
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -2099,16 +2017,15 @@ impl<'m> Machine<'m> {
                             return Ok(None);
                         }
                         if filtered_out {
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                             e.frames.last_mut().expect("nonempty").idx += 1;
                             return Ok(None);
                         }
                         match pred_out.out_mems.get(&group).copied() {
                             None => {
                                 e.status = Status::WaitMem(group, e.clock);
-                                if C::ENABLED {
-                                    counters.wait(WaitKind::Mem(group));
-                                }
                                 if T::ENABLED {
                                     tracer.event(TraceEvent::WaitBegin {
                                         rid,
@@ -2135,9 +2052,6 @@ impl<'m> Machine<'m> {
                                     let frame = e.frames.last_mut().expect("nonempty");
                                     frame.regs[dst.index()] = v;
                                     frame.ready[dst.index()] = complete;
-                                    if C::ENABLED {
-                                        counters.spec_load(false);
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SpecLoad {
                                             rid,
@@ -2185,9 +2099,6 @@ impl<'m> Machine<'m> {
                                     let frame = e.frames.last_mut().expect("nonempty");
                                     frame.regs[dst.index()] = used;
                                     frame.ready[dst.index()] = complete;
-                                    if C::ENABLED {
-                                        counters.signal_recv(SignalKind::Mem(group));
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SignalRecv {
                                             rid,
@@ -2214,7 +2125,6 @@ impl<'m> Machine<'m> {
                                         rid,
                                         ord,
                                         tracer,
-                                        counters,
                                     )?;
                                 }
                                 e.frames.last_mut().expect("nonempty").idx += 1;
@@ -2231,7 +2141,7 @@ impl<'m> Machine<'m> {
     /// committed memory with read-set tracking and pending-violation
     /// registration.
     #[allow(clippy::too_many_arguments)]
-    fn epoch_plain_load<T: Tracer, C: CounterSink>(
+    fn epoch_plain_load<T: Tracer>(
         &mut self,
         e: &mut Epoch,
         older: &[Epoch],
@@ -2244,7 +2154,6 @@ impl<'m> Machine<'m> {
         rid: RegionId,
         ord: u64,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<i64, SimError> {
         let frame = e.frames.last_mut().expect("nonempty");
         if let Some(v) = e.wb.load(a) {
@@ -2252,9 +2161,6 @@ impl<'m> Machine<'m> {
             e.clock = issue;
             frame.regs[dst.index()] = v;
             frame.ready[dst.index()] = complete;
-            if C::ENABLED {
-                counters.spec_load(false);
-            }
             if T::ENABLED {
                 tracer.event(TraceEvent::SpecLoad {
                     rid,
@@ -2272,26 +2178,19 @@ impl<'m> Machine<'m> {
         }
         let v = self.mem.read(a);
         // Timing-identical to `access`; the eviction report only feeds the
-        // tracer and the counter bank.
-        let lat = if T::ENABLED || C::ENABLED {
+        // tracer.
+        let lat = if T::ENABLED {
             let (lat, evicted) = self.caches.access_evict(e.core, a);
-            if C::ENABLED {
-                counters.mem_access(self.caches.level_of(lat));
-            }
+            tracer.mem_access(self.caches.level_of(lat));
             if let Some(victim_line) = evicted {
-                let speculative = e.reads.line_reader(victim_line).is_some()
-                    || e.wb.wrote_line(victim_line);
-                if C::ENABLED {
-                    counters.line_evict(speculative);
-                }
-                if T::ENABLED {
-                    tracer.event(TraceEvent::LineEvict {
-                        core: e.core,
-                        line: victim_line,
-                        speculative,
-                        time: e.clock,
-                    });
-                }
+                let speculative =
+                    e.reads.line_reader(victim_line).is_some() || e.wb.wrote_line(victim_line);
+                tracer.event(TraceEvent::LineEvict {
+                    core: e.core,
+                    line: victim_line,
+                    speculative,
+                    time: e.clock,
+                });
             }
             lat
         } else {
@@ -2317,9 +2216,6 @@ impl<'m> Machine<'m> {
                     time: issue,
                 });
             }
-        }
-        if C::ENABLED {
-            counters.spec_load(true);
         }
         if T::ENABLED {
             // Emitted even under the fault injection below: the model sees

@@ -224,10 +224,9 @@ pub struct SimResult {
     /// Per-class fault-injection counters (all zero unless the run was
     /// perturbed via `SimConfig::inject`).
     pub faults: FaultSummary,
-    /// Machine counter bank, populated only by counter-enabled runs
-    /// ([`crate::Machine::run_counted`] /
-    /// [`crate::Machine::run_instrumented`] with an enabled sink).
-    /// `None` means counting was compiled out, not that nothing happened.
+    /// Machine counter bank, set only by [`crate::Machine::run_counted`]
+    /// (which runs with a [`MachineCounters`] tracer). `None` means the
+    /// run did not count, not that nothing happened.
     pub counters: Option<Box<MachineCounters>>,
     /// Cache tag pages the run materialized across all L1s and the L2
     /// (host-memory diagnostics only; no simulated meaning).
