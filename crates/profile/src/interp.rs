@@ -14,7 +14,6 @@
 //!   back to memory anyway);
 //! * `SignalMem`/`SignalMemNull` are no-ops sequentially.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -157,8 +156,8 @@ struct Frame {
 pub struct Interp<'m> {
     module: &'m Module,
     config: InterpConfig,
-    /// Per-function: map from header block to LoopUid.
-    headers: Vec<HashMap<BlockId, LoopUid>>,
+    /// Per function, per block: the loop the block heads, if any.
+    headers: Vec<Vec<Option<LoopUid>>>,
     loop_meta: Vec<LoopMeta>,
     memory: Memory,
     chans: Vec<i64>,
@@ -172,7 +171,11 @@ impl<'m> Interp<'m> {
     /// Prepare an interpreter for `module` (loads globals into memory and
     /// precomputes loop structure).
     pub fn new(module: &'m Module, config: InterpConfig) -> Self {
-        let mut headers = vec![HashMap::new(); module.funcs.len()];
+        let mut headers: Vec<Vec<Option<LoopUid>>> = module
+            .funcs
+            .iter()
+            .map(|f| vec![None; f.blocks.len()])
+            .collect();
         let mut loop_meta = Vec::new();
         for (fi, func) in module.funcs.iter().enumerate() {
             let fid = FuncId(fi as u32);
@@ -185,7 +188,7 @@ impl<'m> Interp<'m> {
                     blocks.insert(b.index());
                 }
                 let region = module.region_at(fid, lp.header).map(|r| r.id);
-                headers[fi].insert(lp.header, lu);
+                headers[fi][lp.header.index()] = Some(lu);
                 loop_meta.push(LoopMeta {
                     func: fid,
                     header: lp.header,
@@ -388,7 +391,7 @@ impl<'m> Interp<'m> {
             }
         }
         // Entering (or iterating) a loop headed at `to`?
-        if let Some(&lu) = self.headers[frame.func.index()].get(&to) {
+        if let Some(lu) = self.headers[frame.func.index()][to.index()] {
             let top_is_same = self
                 .trace
                 .loops

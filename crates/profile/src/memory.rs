@@ -77,20 +77,22 @@ impl Memory {
         other: &Memory,
         skip: &std::ops::Range<i64>,
     ) -> Option<(i64, i64, i64)> {
+        static ZERO_PAGE: [i64; PAGE_WORDS] = [0; PAGE_WORDS];
         let mut pages: Vec<i64> = self.pages.keys().chain(other.pages.keys()).copied().collect();
         pages.sort_unstable();
         pages.dedup();
         for p in pages {
-            let a = self.pages.get(&p);
-            let b = other.pages.get(&p);
-            for o in 0..PAGE_WORDS {
-                let addr = p * PAGE_WORDS as i64 + o as i64;
-                if skip.contains(&addr) {
-                    continue;
-                }
-                let va = a.map_or(0, |pg| pg[o]);
-                let vb = b.map_or(0, |pg| pg[o]);
-                if va != vb {
+            let a = self.pages.get(&p).map_or(&ZERO_PAGE, |pg| pg);
+            let b = other.pages.get(&p).map_or(&ZERO_PAGE, |pg| pg);
+            // Equal pages (the common case) compare as whole slices; only a
+            // page that differs is scanned word by word.
+            if a == b {
+                continue;
+            }
+            let base = p * PAGE_WORDS as i64;
+            for (o, (&va, &vb)) in a.iter().zip(b.iter()).enumerate() {
+                let addr = base + o as i64;
+                if va != vb && !skip.contains(&addr) {
                     return Some((addr, va, vb));
                 }
             }
@@ -147,6 +149,43 @@ mod tests {
         assert_eq!(a.first_diff(&b), Some((9000, 4, 0)));
         b.write(9000, 4);
         assert!(a.same_words(&b));
+    }
+
+    #[test]
+    fn diff_inside_skip_is_ignored() {
+        let mut a = Memory::new();
+        let b = Memory::new();
+        a.write(100, 1);
+        a.write(101, 2);
+        assert_eq!(a.first_diff_outside(&b, &(100..102)), None);
+        assert_eq!(a.first_diff_outside(&b, &(100..101)), Some((101, 2, 0)));
+    }
+
+    #[test]
+    fn later_diff_on_a_skipped_page_is_found() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write(5, 1);
+        a.write(900, 3);
+        b.write(900, 4);
+        // The page differs at 5 (skipped) and again at 900.
+        assert_eq!(a.first_diff_outside(&b, &(0..10)), Some((900, 3, 4)));
+        assert_eq!(b.first_diff_outside(&a, &(0..10)), Some((900, 4, 3)));
+    }
+
+    #[test]
+    fn absent_page_equals_a_zero_filled_page() {
+        let mut a = Memory::new();
+        let b = Memory::new();
+        for addr in 2048..2048 + PAGE_WORDS as i64 {
+            a.write(addr, 0);
+        }
+        a.write(-7, 0);
+        assert_eq!(a.resident_pages(), 2);
+        assert_eq!(a.first_diff_outside(&b, &(0..0)), None);
+        assert_eq!(b.first_diff_outside(&a, &(0..0)), None);
+        a.write(2048 + 17, 9);
+        assert_eq!(b.first_diff_outside(&a, &(0..0)), Some((2048 + 17, 0, 9)));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::error::Error;
 use std::fmt;
 
 use tls_ir::{
-    line_of, BinOp, BlockId, FuncId, GroupId, Instr, Module, Operand, RegionId, Sid, Terminator,
-    Var,
+    line_of, BinOp, BlockId, ChanId, FuncId, GroupId, Instr, Module, Operand, RegionId, Sid,
+    Terminator, Var,
 };
 use tls_profile::{Memory, OracleKey, ValueOracle};
 
@@ -95,24 +95,61 @@ const MAX_CALL_DEPTH: usize = 256;
 #[derive(Clone, Debug)]
 struct Frame {
     func: FuncId,
-    regs: Vec<i64>,
-    ready: Vec<u64>,
+    /// Per register: its value and the cycle it is ready.
+    regs: Vec<(i64, u64)>,
     block: BlockId,
-    idx: usize,
+    /// Flat id of `block` in [`Code`].
+    cb: u32,
+    /// The next op to run, as an index into [`Code::ops`]; at `end` the
+    /// block's terminator runs.
+    pc: u32,
+    end: u32,
     ret_to: Option<Var>,
 }
 
 impl Frame {
-    fn new(module: &Module, func: FuncId, now: u64) -> Self {
+    fn new(module: &Module, code: &Code, func: FuncId, now: u64) -> Self {
         let f = module.func(func);
-        Self {
+        let mut frame = Self {
             func,
-            regs: vec![0; f.num_vars],
-            ready: vec![now; f.num_vars],
+            regs: vec![(0, now); f.num_vars],
             block: f.entry(),
-            idx: 0,
+            cb: 0,
+            pc: 0,
+            end: 0,
             ret_to: None,
-        }
+        };
+        frame.goto(code, f.entry());
+        frame
+    }
+
+    /// Write register `dst`: value `v`, ready at cycle `ready`.
+    #[inline]
+    fn set(&mut self, dst: Var, v: i64, ready: u64) {
+        self.regs[dst.index()] = (v, ready);
+    }
+
+    /// Move to the top of `block`.
+    #[inline]
+    fn goto(&mut self, code: &Code, block: BlockId) {
+        let cb = code.block_at(self.func, block);
+        self.block = block;
+        self.cb = cb as u32;
+        self.pc = code.starts[cb];
+        self.end = code.starts[cb + 1];
+    }
+
+    /// Become `base` with every register ready at `at`, reusing this
+    /// frame's storage.
+    fn reset_from(&mut self, base: &Frame, at: u64) {
+        self.func = base.func;
+        self.regs.clear();
+        self.regs.extend(base.regs.iter().map(|&(v, _)| (v, at)));
+        self.block = base.block;
+        self.cb = base.cb;
+        self.pc = base.pc;
+        self.end = base.end;
+        self.ret_to = base.ret_to;
     }
 }
 
@@ -159,6 +196,74 @@ struct Epoch {
     finish: Option<(Option<BlockId>, u64)>,
 }
 
+impl Epoch {
+    /// An epoch with buffers sized for `module`; [`Epoch::respawn`] it
+    /// before use.
+    fn blank(module: &Module, config: &SimConfig, base: &Frame) -> Epoch {
+        Epoch {
+            index: 0,
+            core: 0,
+            frames: vec![base.clone()],
+            timer: CoreTimer::new(config, 0),
+            clock: 0,
+            status: Status::Running,
+            wb: WriteBuffer::default(),
+            reads: ReadSet::default(),
+            sync: SyncState::default(),
+            outputs: Vec::new(),
+            predicted: Vec::new(),
+            occ: vec![0; module.next_sid as usize],
+            consumed: vec![false; module.next_group as usize],
+            attempt_start: 0,
+            sync_cycles: 0,
+            finish: None,
+        }
+    }
+
+    /// Start a new attempt at `at` from `base`, the region-entry frame
+    /// placed at the region header (squash restart). Every buffer keeps its
+    /// storage; the signal-buffer high-water mark survives, as it spans the
+    /// epoch's attempts.
+    fn restart(&mut self, base: &Frame, at: u64) {
+        self.frames.truncate(1);
+        self.frames[0].reset_from(base, at);
+        self.timer.reset(at);
+        self.clock = at;
+        self.status = Status::Running;
+        self.wb.clear();
+        self.reads.clear();
+        self.sync.clear();
+        self.outputs.clear();
+        self.predicted.clear();
+        self.occ.fill(0);
+        self.consumed.fill(false);
+        self.attempt_start = at;
+        self.sync_cycles = 0;
+        self.finish = None;
+    }
+
+    /// Turn this (retired or pooled) epoch into epoch `index` on `core`,
+    /// starting at `at`: the same state a freshly allocated epoch has.
+    fn respawn(&mut self, index: u64, core: usize, base: &Frame, at: u64) {
+        self.index = index;
+        self.core = core;
+        self.restart(base, at);
+        self.sync.sig_buf_high_water = 0;
+    }
+}
+
+/// What one [`Machine::step_epoch`] touched, as far as the region scheduler
+/// is concerned.
+enum Step {
+    /// Only the epoch's own registers, pipeline, clock and output buffer
+    /// (ALU, branch, call, return, output, epoch id); it is still running.
+    Local,
+    /// Memory, synchronization or epoch status: rerun the full scheduler.
+    Shared,
+    /// The step violated a later epoch.
+    Squash(SquashReq),
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     producer: u64,
@@ -196,55 +301,272 @@ struct SeqRegion {
     iter: u64,
 }
 
-/// Pre-decoded program, built once per [`Machine`].
+/// A decoded operand: a register, or an immediate (constants and global
+/// addresses alike, folded at decode time).
+#[derive(Clone, Copy, Debug)]
+enum Src {
+    Reg(Var),
+    Imm(i64),
+}
+
+/// A register-only op, `dst = op(a, b)`, with its latency resolved.
+#[derive(Clone, Copy, Debug)]
+struct Alu {
+    dst: Var,
+    op: BinOp,
+    a: Src,
+    b: Src,
+    lat: u64,
+}
+
+/// One decoded instruction: the [`Instr`] with operands resolved to
+/// [`Src`] and call arguments moved to [`Code::args`], so it is `Copy`.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// `Bin`, and `Assign` as `src + 0` (same value, same operand-ready
+    /// time, ALU latency).
+    Alu(Alu),
+    Load {
+        dst: Var,
+        addr: Src,
+        off: i64,
+        sid: Sid,
+    },
+    SyncLoad {
+        dst: Var,
+        addr: Src,
+        off: i64,
+        group: GroupId,
+        sid: Sid,
+    },
+    Store {
+        val: Src,
+        addr: Src,
+        off: i64,
+        sid: Sid,
+    },
+    /// `args` is the `(start, len)` range of the operands in [`Code::args`].
+    Call {
+        dst: Option<Var>,
+        func: FuncId,
+        args: (u32, u32),
+    },
+    Output {
+        val: Src,
+    },
+    EpochId {
+        dst: Var,
+    },
+    WaitScalar {
+        dst: Var,
+        chan: ChanId,
+    },
+    SignalScalar {
+        chan: ChanId,
+        val: Src,
+    },
+    SignalMem {
+        group: GroupId,
+        addr: Src,
+        off: i64,
+        val: Src,
+    },
+    SignalMemNull {
+        group: GroupId,
+    },
+}
+
+/// A decoded block terminator.
+#[derive(Clone, Copy, Debug)]
+enum Term {
+    Jump(BlockId),
+    Br { cond: Src, t: BlockId, f: BlockId },
+    Ret(Option<Src>),
+}
+
+/// Per-sid flags of [`Code::sid_flags`]: the sid is in
+/// `OracleSel::Sids`, in `stall_marked`, in `mark_compiler`.
+const SID_ORACLE: u8 = 1;
+const SID_STALL_MARKED: u8 = 2;
+const SID_MARK_COMPILER: u8 = 4;
+
+/// Decoded program, built once per [`Machine`].
 ///
 /// Every block of every function is flattened into one index-addressed
-/// arena: the step loops resolve `(func, block)` to a flat block id with one
-/// add and dispatch on a borrowed instruction (or a copied terminator)
-/// without walking the nested `Module` → `Function` → `Block` vectors or
-/// cloning an `Instr` per step. Region-header and global-address lookups are
-/// resolved to dense tables at the same time.
-struct Code<'m> {
-    /// All instructions of all blocks, function by function, block by block.
-    instrs: Vec<&'m Instr>,
-    /// Per flat block: its terminator (validated modules terminate every
-    /// reachable block; unterminated builder blocks get a placeholder `Ret`
-    /// that is unreachable at run time).
-    terms: Vec<Terminator>,
-    /// Per flat block: start of its slice in `instrs`.
+/// arena of [`Op`]s: the step loops resolve `(func, block)` to a flat block
+/// id with one add and dispatch on a copied op whose operands, latency and
+/// class were resolved here, without walking the nested `Module` →
+/// `Function` → `Block` vectors. Region headers and the configuration's
+/// per-sid sets become dense tables at the same time.
+struct Code {
+    /// All ops of all blocks, function by function, block by block.
+    ops: Vec<Op>,
+    /// Per op: its class, for the tracer's retire hook.
+    classes: Vec<OpClass>,
+    /// Call arguments, referenced by [`Op::Call`].
+    args: Vec<Src>,
+    /// Per flat block: its terminator and the terminator's class
+    /// (validated modules terminate every reachable block; unterminated
+    /// builder blocks get a placeholder `Ret` that is unreachable at run
+    /// time).
+    terms: Vec<(Term, OpClass)>,
+    /// Per flat block: start of its slice in `ops`, plus a final entry
+    /// `ops.len()`, so block `b`'s ops are `starts[b]..starts[b + 1]`.
     starts: Vec<u32>,
-    /// Per flat block: number of instructions.
-    lens: Vec<u32>,
     /// Per function: flat id of its first block.
     func_base: Vec<u32>,
     /// Per flat block: the region this block heads, if any.
     region_at: Vec<Option<RegionId>>,
-    /// Per global: its base address (`Operand::Global` evaluation).
-    global_addrs: Vec<i64>,
+    /// Per sid: `SID_*` flags (sids past the end have none).
+    sid_flags: Vec<u8>,
 }
 
-impl<'m> Code<'m> {
-    fn new(module: &'m Module) -> Self {
+impl Code {
+    fn new(module: &Module, config: &SimConfig) -> Self {
         let headers = module.region_headers();
+        let globals: Vec<i64> = module.globals.iter().map(|g| g.addr).collect();
+        let src = |op: Operand| match op {
+            Operand::Var(v) => Src::Reg(v),
+            Operand::Const(c) => Src::Imm(c),
+            Operand::Global(g) => Src::Imm(globals[g.index()]),
+        };
+        let alu = |dst: Var, op: BinOp, a: Src, b: Src| {
+            let lat = match op {
+                BinOp::Mul => config.lat_mul,
+                BinOp::Div | BinOp::Rem => config.lat_div,
+                _ => config.lat_alu,
+            };
+            Op::Alu(Alu { dst, op, a, b, lat })
+        };
         let nblocks: usize = module.funcs.iter().map(|f| f.blocks.len()).sum();
+        let ninstrs = module
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .map(|b| b.instrs.len())
+            .sum();
         let mut code = Code {
-            instrs: Vec::with_capacity(module.funcs.iter().flat_map(|f| &f.blocks).map(|b| b.instrs.len()).sum()),
+            ops: Vec::with_capacity(ninstrs),
+            classes: Vec::with_capacity(ninstrs),
+            args: Vec::new(),
             terms: Vec::with_capacity(nblocks),
-            starts: Vec::with_capacity(nblocks),
-            lens: Vec::with_capacity(nblocks),
+            starts: Vec::with_capacity(nblocks + 1),
             func_base: Vec::with_capacity(module.funcs.len()),
             region_at: Vec::with_capacity(nblocks),
-            global_addrs: module.globals.iter().map(|g| g.addr).collect(),
+            sid_flags: Vec::new(),
         };
         for (fi, f) in module.funcs.iter().enumerate() {
             code.func_base.push(code.terms.len() as u32);
             for (bi, b) in f.blocks.iter().enumerate() {
-                code.starts.push(code.instrs.len() as u32);
-                code.lens.push(b.instrs.len() as u32);
-                code.instrs.extend(b.instrs.iter());
-                code.terms.push(b.term.unwrap_or(Terminator::Ret(None)));
+                code.starts.push(code.ops.len() as u32);
+                for instr in &b.instrs {
+                    let op = match *instr {
+                        Instr::Assign { dst, src: s } => alu(dst, BinOp::Add, src(s), Src::Imm(0)),
+                        Instr::Bin { dst, op, a, b } => alu(dst, op, src(a), src(b)),
+                        Instr::Load {
+                            dst,
+                            addr,
+                            off,
+                            sid,
+                        } => Op::Load {
+                            dst,
+                            addr: src(addr),
+                            off,
+                            sid,
+                        },
+                        Instr::SyncLoad {
+                            dst,
+                            addr,
+                            off,
+                            group,
+                            sid,
+                        } => Op::SyncLoad {
+                            dst,
+                            addr: src(addr),
+                            off,
+                            group,
+                            sid,
+                        },
+                        Instr::Store {
+                            val,
+                            addr,
+                            off,
+                            sid,
+                        } => Op::Store {
+                            val: src(val),
+                            addr: src(addr),
+                            off,
+                            sid,
+                        },
+                        Instr::Call {
+                            dst,
+                            func,
+                            ref args,
+                            ..
+                        } => {
+                            let start = code.args.len() as u32;
+                            code.args.extend(args.iter().map(|&a| src(a)));
+                            Op::Call {
+                                dst,
+                                func,
+                                args: (start, args.len() as u32),
+                            }
+                        }
+                        Instr::Output { val } => Op::Output { val: src(val) },
+                        Instr::EpochId { dst } => Op::EpochId { dst },
+                        Instr::WaitScalar { dst, chan } => Op::WaitScalar { dst, chan },
+                        Instr::SignalScalar { chan, val } => Op::SignalScalar {
+                            chan,
+                            val: src(val),
+                        },
+                        Instr::SignalMem {
+                            group,
+                            addr,
+                            off,
+                            val,
+                            ..
+                        } => Op::SignalMem {
+                            group,
+                            addr: src(addr),
+                            off,
+                            val: src(val),
+                        },
+                        Instr::SignalMemNull { group } => Op::SignalMemNull { group },
+                    };
+                    code.ops.push(op);
+                    code.classes.push(OpClass::of(instr));
+                }
+                let term = b.term.unwrap_or(Terminator::Ret(None));
+                let decoded = match term {
+                    Terminator::Jump(to) => Term::Jump(to),
+                    Terminator::Br { cond, t, f } => Term::Br {
+                        cond: src(cond),
+                        t,
+                        f,
+                    },
+                    Terminator::Ret(v) => Term::Ret(v.map(src)),
+                };
+                code.terms.push((decoded, OpClass::of_term(&term)));
                 code.region_at
                     .push(headers.get(&(FuncId(fi as u32), BlockId(bi as u32))).copied());
+            }
+        }
+        code.starts.push(code.ops.len() as u32);
+        let oracle_sids = match &config.oracle_sel {
+            OracleSel::Sids(s) => Some(s),
+            _ => None,
+        };
+        let sets = [
+            (oracle_sids, SID_ORACLE),
+            (config.stall_marked.as_ref(), SID_STALL_MARKED),
+            (Some(&config.mark_compiler), SID_MARK_COMPILER),
+        ];
+        for (set, flag) in sets {
+            for sid in set.into_iter().flatten() {
+                if code.sid_flags.len() <= sid.index() {
+                    code.sid_flags.resize(sid.index() + 1, 0);
+                }
+                code.sid_flags[sid.index()] |= flag;
             }
         }
         code
@@ -255,13 +577,21 @@ impl<'m> Code<'m> {
     fn block_at(&self, func: FuncId, block: BlockId) -> usize {
         self.func_base[func.index()] as usize + block.index()
     }
+
+    /// Does `sid` carry the `SID_*` flag `flag`?
+    #[inline]
+    fn sid_has(&self, sid: Sid, flag: u8) -> bool {
+        self.sid_flags
+            .get(sid.index())
+            .is_some_and(|f| f & flag != 0)
+    }
 }
 
 /// The simulator. Create with [`Machine::new`] (or
 /// [`Machine::with_oracle`]) and consume with [`Machine::run`].
 pub struct Machine<'m> {
     module: &'m Module,
-    code: Code<'m>,
+    code: Code,
     config: SimConfig,
     oracle: Option<&'m ValueOracle>,
     mem: Memory,
@@ -283,6 +613,9 @@ pub struct Machine<'m> {
     /// Per synchronized-load sid: (wait attempts, forwarded-value uses),
     /// indexed by `Sid`. Feeds the `hybrid_filter` enhancement.
     forward_usefulness: Vec<(u32, u32)>,
+    /// Epochs of finished region instances, kept with their buffers'
+    /// storage for the next instance to respawn.
+    epoch_pool: Vec<Epoch>,
 }
 
 impl<'m> Machine<'m> {
@@ -316,8 +649,9 @@ impl<'m> Machine<'m> {
             steps: 0,
             region_ord: 0,
             forward_usefulness: vec![(0, 0); module.next_sid as usize],
+            epoch_pool: Vec::new(),
             oracle: None,
-            code: Code::new(module),
+            code: Code::new(module, &config),
             module,
             config,
         }
@@ -331,18 +665,7 @@ impl<'m> Machine<'m> {
         m
     }
 
-    fn eval(&self, frame: &Frame, op: Operand) -> (i64, u64) {
-        eval_in(&self.code.global_addrs, frame, op)
-    }
-
-    fn bin_latency(&self, op: BinOp) -> u64 {
-        match op {
-            BinOp::Mul => self.config.lat_mul,
-            BinOp::Div | BinOp::Rem => self.config.lat_div,
-            _ => self.config.lat_alu,
-        }
-    }
-
+    #[inline]
     fn bump_steps(&mut self) -> Result<(), SimError> {
         self.steps += 1;
         if self.steps > self.config.max_steps {
@@ -389,82 +712,93 @@ impl<'m> Machine<'m> {
     pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> Result<SimResult, SimError> {
         let entry = self.module.func(self.module.entry);
         assert_eq!(entry.num_params, 0, "entry function must take no parameters");
-        let mut frames = vec![Frame::new(self.module, self.module.entry, 0)];
+        let mut frames = vec![Frame::new(self.module, &self.code, self.module.entry, 0)];
         let mut timer = CoreTimer::new(&self.config, 0);
         let seq_core = 0usize;
         let mut seq_regions: Vec<SeqRegion> = Vec::new();
         let mut final_ret = 0i64;
 
-        while !frames.is_empty() {
-            self.bump_steps()?;
+        'frames: loop {
             let depth = frames.len();
-            let frame = frames.last_mut().expect("nonempty");
-            let cb = self.code.block_at(frame.func, frame.block);
-            if frame.idx < self.code.lens[cb] as usize {
-                let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
-                frame.idx += 1;
-                self.exec_seq_instr(
-                    instr,
-                    &mut frames,
-                    &mut timer,
-                    seq_core,
-                    &seq_regions,
-                    tracer,
-                )?;
-            } else {
-                let term = self.code.terms[cb];
+            let Some(frame) = frames.last_mut() else {
+                break;
+            };
+            // The block's straight-line body, one op per step; a call leaves
+            // it early with the callee's frame on top.
+            while frame.pc < frame.end {
+                self.bump_steps()?;
+                let pc = frame.pc as usize;
+                frame.pc += 1;
                 if T::ENABLED {
-                    tracer.retire(OpClass::of_term(&term));
+                    tracer.retire(self.code.classes[pc]);
                 }
-                match term {
-                    Terminator::Jump(to) => {
-                        self.seq_transfer(
-                            to,
-                            &mut frames,
-                            &mut timer,
-                            seq_core,
-                            &mut seq_regions,
-                            tracer,
-                        )?;
-                    }
-                    Terminator::Br { cond, t, f } => {
-                        let (c, ready) = self.eval(frame, cond);
-                        let (issue, complete) = timer.issue(ready, self.config.lat_alu);
-                        self.time = issue;
-                        let taken = c != 0;
-                        let key = (frame.func.0 as u64) << 32 | frame.block.0 as u64;
-                        if !self.branch[seq_core].update(key, taken) {
-                            timer.stall_until(complete + self.config.mispredict_penalty);
+                match self.code.ops[pc] {
+                    Op::Alu(alu) => self.time = exec_local(alu, frame, &mut timer),
+                    Op::Call { dst, func, args } => {
+                        if depth >= MAX_CALL_DEPTH {
+                            return Err(SimError::CallDepth(MAX_CALL_DEPTH));
                         }
-                        let to = if taken { t } else { f };
-                        self.seq_transfer(
-                            to,
-                            &mut frames,
-                            &mut timer,
-                            seq_core,
-                            &mut seq_regions,
-                            tracer,
-                        )?;
-                    }
-                    Terminator::Ret(v) => {
-                        let rv = v.map(|op| self.eval(frame, op));
-                        let (issue, _) = timer.issue(rv.map_or(0, |r| r.1), self.config.lat_alu);
+                        let (issue, complete) = timer.issue(0, self.config.lat_alu);
                         self.time = issue;
-                        let done = frames.pop().expect("nonempty");
-                        // Close sequential region instances of this frame.
-                        while seq_regions.last().is_some_and(|r| r.depth == depth) {
-                            let r = seq_regions.pop().expect("nonempty");
-                            self.close_seq_region(r);
-                        }
-                        match frames.last_mut() {
-                            Some(caller) => {
-                                if let Some(dst) = done.ret_to {
-                                    caller.regs[dst.index()] = rv.map_or(0, |r| r.0);
-                                    caller.ready[dst.index()] = issue + self.config.lat_alu;
-                                }
+                        let callee = self.call_frame(frame, dst, func, args, complete);
+                        frames.push(callee);
+                        continue 'frames;
+                    }
+                    op => self.exec_seq_op(op, frame, &mut timer, seq_core, &seq_regions, tracer),
+                }
+            }
+            self.bump_steps()?;
+            let (term, class) = self.code.terms[frame.cb as usize];
+            if T::ENABLED {
+                tracer.retire(class);
+            }
+            match term {
+                Term::Jump(to) => {
+                    self.seq_transfer(
+                        to,
+                        &mut frames,
+                        &mut timer,
+                        seq_core,
+                        &mut seq_regions,
+                        tracer,
+                    )?;
+                }
+                Term::Br { cond, t, f } => {
+                    let (c, ready) = eval(frame, cond);
+                    let (issue, complete) = timer.issue(ready, self.config.lat_alu);
+                    self.time = issue;
+                    let taken = c != 0;
+                    let key = (frame.func.0 as u64) << 32 | frame.block.0 as u64;
+                    if !self.branch[seq_core].update(key, taken) {
+                        timer.stall_until(complete + self.config.mispredict_penalty);
+                    }
+                    let to = if taken { t } else { f };
+                    self.seq_transfer(
+                        to,
+                        &mut frames,
+                        &mut timer,
+                        seq_core,
+                        &mut seq_regions,
+                        tracer,
+                    )?;
+                }
+                Term::Ret(v) => {
+                    let rv = v.map(|op| eval(frame, op));
+                    let (issue, _) = timer.issue(rv.map_or(0, |r| r.1), self.config.lat_alu);
+                    self.time = issue;
+                    let done = frames.pop().expect("nonempty");
+                    // Close sequential region instances of this frame.
+                    while seq_regions.last().is_some_and(|r| r.depth == depth) {
+                        let r = seq_regions.pop().expect("nonempty");
+                        self.close_seq_region(r);
+                    }
+                    match frames.last_mut() {
+                        Some(caller) => {
+                            if let Some(dst) = done.ret_to {
+                                caller.set(dst, rv.map_or(0, |r| r.0), issue + self.config.lat_alu);
                             }
-                            None => final_ret = rv.map_or(0, |r| r.0),
                         }
+                        None => final_ret = rv.map_or(0, |r| r.0),
                     }
                 }
             }
@@ -494,52 +828,53 @@ impl<'m> Machine<'m> {
         stats.slots.other += cycles * self.config.issue_width * (self.config.cores as u64 - 1);
     }
 
-    /// Execute one sequential-mode instruction.
-    fn exec_seq_instr<T: Tracer>(
+    /// The frame a call from `caller` pushes: arguments copied in, ready no
+    /// earlier than the call completes.
+    fn call_frame(
+        &self,
+        caller: &Frame,
+        dst: Option<Var>,
+        func: FuncId,
+        (start, len): (u32, u32),
+        complete: u64,
+    ) -> Frame {
+        let mut nf = Frame::new(self.module, &self.code, func, complete);
+        let args = &self.code.args[start as usize..(start + len) as usize];
+        for (k, &arg) in args.iter().enumerate() {
+            let (v, r) = eval(caller, arg);
+            nf.regs[k] = (v, r.max(complete));
+        }
+        nf.ret_to = dst;
+        nf
+    }
+
+    /// Execute one sequential-mode op other than ALU work and calls, which
+    /// the sequential loop runs itself.
+    fn exec_seq_op<T: Tracer>(
         &mut self,
-        instr: &Instr,
-        frames: &mut Vec<Frame>,
+        op: Op,
+        frame: &mut Frame,
         timer: &mut CoreTimer,
         core: usize,
         seq_regions: &[SeqRegion],
         tracer: &mut T,
-    ) -> Result<(), SimError> {
-        if T::ENABLED {
-            tracer.retire(OpClass::of(instr));
-        }
-        let frame = frames.last_mut().expect("nonempty");
-        match instr {
-            Instr::Assign { dst, src } => {
-                let (v, r) = self.eval(frame, *src);
-                let (issue, complete) = timer.issue(r, self.config.lat_alu);
-                self.time = issue;
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = complete;
-            }
-            Instr::Bin { dst, op, a, b } => {
-                let (va, ra) = self.eval(frame, *a);
-                let (vb, rb) = self.eval(frame, *b);
-                let (issue, complete) = timer.issue(ra.max(rb), self.bin_latency(*op));
-                self.time = issue;
-                frame.regs[dst.index()] = op.eval(va, vb);
-                frame.ready[dst.index()] = complete;
-            }
-            Instr::Load { dst, addr, off, .. } | Instr::SyncLoad { dst, addr, off, .. } => {
-                let (a, r) = self.eval(frame, *addr);
-                let a = a.wrapping_add(*off);
+    ) {
+        match op {
+            Op::Load { dst, addr, off, .. } | Op::SyncLoad { dst, addr, off, .. } => {
+                let (a, r) = eval(frame, addr);
+                let a = a.wrapping_add(off);
                 let lat = self.caches.access(core, a);
                 if T::ENABLED {
                     tracer.mem_access(self.caches.level_of(lat));
                 }
                 let (issue, complete) = timer.issue(r, lat);
                 self.time = issue;
-                frame.regs[dst.index()] = self.mem.read(a);
-                frame.ready[dst.index()] = complete;
+                frame.set(dst, self.mem.read(a), complete);
             }
-            Instr::Store { val, addr, off, .. } => {
-                let (a, ra) = self.eval(frame, *addr);
-                let (v, rv) = self.eval(frame, *val);
-                let a = a.wrapping_add(*off);
+            Op::Store { val, addr, off, .. } => {
+                let (a, ra) = eval(frame, addr);
+                let (v, rv) = eval(frame, val);
+                let a = a.wrapping_add(off);
                 let lat = self.caches.access(core, a);
                 if T::ENABLED {
                     tracer.mem_access(self.caches.level_of(lat));
@@ -548,51 +883,34 @@ impl<'m> Machine<'m> {
                 self.time = issue;
                 self.mem.write(a, v);
             }
-            Instr::Call { dst, func, args, .. } => {
-                if frames.len() >= MAX_CALL_DEPTH {
-                    return Err(SimError::CallDepth(MAX_CALL_DEPTH));
-                }
-                let (issue, complete) = timer.issue(0, self.config.lat_alu);
-                self.time = issue;
-                let mut nf = Frame::new(self.module, *func, complete);
-                for (i, arg) in args.iter().enumerate() {
-                    let (v, r) = self.eval(frames.last().expect("nonempty"), *arg);
-                    nf.regs[i] = v;
-                    nf.ready[i] = r.max(complete);
-                }
-                nf.ret_to = *dst;
-                frames.push(nf);
-            }
-            Instr::Output { val } => {
-                let (v, r) = self.eval(frame, *val);
+            Op::Output { val } => {
+                let (v, r) = eval(frame, val);
                 let (issue, _) = timer.issue(r, self.config.lat_alu);
                 self.time = issue;
                 self.output.push(v);
             }
-            Instr::EpochId { dst } => {
+            Op::EpochId { dst } => {
                 let (issue, complete) = timer.issue(0, self.config.lat_alu);
                 self.time = issue;
-                frame.regs[dst.index()] = seq_regions.last().map_or(0, |r| r.iter as i64);
-                frame.ready[dst.index()] = complete;
+                frame.set(dst, seq_regions.last().map_or(0, |r| r.iter as i64), complete);
             }
-            Instr::WaitScalar { dst, chan } => {
+            Op::WaitScalar { dst, chan } => {
                 let (issue, complete) = timer.issue(0, self.config.lat_alu);
                 self.time = issue;
-                frame.regs[dst.index()] = self.chan_regs[chan.index()];
-                frame.ready[dst.index()] = complete;
+                frame.set(dst, self.chan_regs[chan.index()], complete);
             }
-            Instr::SignalScalar { chan, val } => {
-                let (v, r) = self.eval(frame, *val);
+            Op::SignalScalar { chan, val } => {
+                let (v, r) = eval(frame, val);
                 let (issue, _) = timer.issue(r, self.config.lat_alu);
                 self.time = issue;
                 self.chan_regs[chan.index()] = v;
             }
-            Instr::SignalMem { .. } | Instr::SignalMemNull { .. } => {
+            Op::SignalMem { .. } | Op::SignalMemNull { .. } => {
                 let (issue, _) = timer.issue(0, self.config.lat_alu);
                 self.time = issue;
             }
+            Op::Alu(_) | Op::Call { .. } => unreachable!("run by the sequential loop"),
         }
-        Ok(())
     }
 
     /// Sequential-mode control transfer; may enter a region (parallel mode)
@@ -629,9 +947,7 @@ impl<'m> Machine<'m> {
             if let Some(top) = seq_regions.last_mut() {
                 if top.depth == depth && top.rid == rid {
                     top.iter += 1;
-                    let frame = frames.last_mut().expect("nonempty");
-                    frame.block = to;
-                    frame.idx = 0;
+                    frames.last_mut().expect("nonempty").goto(&self.code, to);
                     return Ok(());
                 }
             }
@@ -643,9 +959,7 @@ impl<'m> Machine<'m> {
                 iter: 0,
             });
         }
-        let frame = frames.last_mut().expect("nonempty");
-        frame.block = to;
-        frame.idx = 0;
+        frames.last_mut().expect("nonempty").goto(&self.code, to);
         Ok(())
     }
 
@@ -653,29 +967,15 @@ impl<'m> Machine<'m> {
     // Parallel mode
     // ------------------------------------------------------------------
 
-    fn spawn_epoch(&self, index: u64, core: usize, at: u64, base: &Frame, header: BlockId) -> Epoch {
-        let mut frame = base.clone();
-        frame.block = header;
-        frame.idx = 0;
-        frame.ready.iter_mut().for_each(|r| *r = at);
-        Epoch {
-            index,
-            core,
-            frames: vec![frame],
-            timer: CoreTimer::new(&self.config, at),
-            clock: at,
-            status: Status::Running,
-            wb: WriteBuffer::default(),
-            reads: ReadSet::default(),
-            sync: SyncState::default(),
-            outputs: Vec::new(),
-            predicted: Vec::new(),
-            occ: vec![0; self.module.next_sid as usize],
-            consumed: vec![false; self.module.next_group as usize],
-            attempt_start: at,
-            sync_cycles: 0,
-            finish: None,
-        }
+    /// Epoch `index` on `core`, starting at `at`: a pooled epoch when one
+    /// is free, else a new one.
+    fn spawn_epoch(&mut self, index: u64, core: usize, at: u64, base: &Frame) -> Epoch {
+        let mut e = self
+            .epoch_pool
+            .pop()
+            .unwrap_or_else(|| Epoch::blank(self.module, &self.config, base));
+        e.respawn(index, core, base, at);
+        e
     }
 
     /// Execute one region instance in parallel; on return, `frames`'s top
@@ -695,7 +995,10 @@ impl<'m> Machine<'m> {
         if T::ENABLED {
             tracer.event(TraceEvent::RegionEnter { rid, ord, time: t0 });
         }
-        let base = frames.last().expect("nonempty").clone();
+        // Every epoch attempt starts from this frame: the region's entry
+        // state, placed at the header.
+        let mut base = frames.last().expect("nonempty").clone();
+        base.goto(&self.code, header);
         let cores = self.config.cores;
 
         // The committed baseline mailbox: epoch 0 reads region-entry values.
@@ -716,17 +1019,12 @@ impl<'m> Machine<'m> {
             );
         }
 
-        let mut epochs: Vec<Epoch> = (0..cores as u64)
-            .map(|k| {
-                self.spawn_epoch(
-                    k,
-                    (seq_core + k as usize) % cores,
-                    t0 + self.config.spawn_overhead * k,
-                    &base,
-                    header,
-                )
-            })
-            .collect();
+        let mut epochs: Vec<Epoch> = Vec::with_capacity(cores);
+        for k in 0..cores as u64 {
+            let at = t0 + self.config.spawn_overhead * k;
+            let e = self.spawn_epoch(k, (seq_core + k as usize) % cores, at, &base);
+            epochs.push(e);
+        }
         if T::ENABLED {
             for e in &epochs {
                 tracer.event(TraceEvent::EpochSpawn {
@@ -754,7 +1052,7 @@ impl<'m> Machine<'m> {
         };
         let w = self.config.issue_width;
 
-        let end: (BlockId, Vec<i64>, u64) = 'region: loop {
+        let end: (BlockId, Epoch, u64) = 'region: loop {
             // 1. Commit as many oldest-done epochs as possible.
             while !epochs.is_empty() && epochs[0].status == Status::Done {
                 let (exit, finish) = epochs[0].finish.expect("done epoch has finish");
@@ -772,7 +1070,6 @@ impl<'m> Machine<'m> {
                     self.squash(
                         &mut epochs,
                         &base,
-                        header,
                         SquashReq {
                             victim,
                             time: start,
@@ -794,7 +1091,7 @@ impl<'m> Machine<'m> {
                 let commit_done = start
                     + self.config.commit_overhead
                     + self.config.commit_per_line * epochs[0].wb.dirty_lines() as u64;
-                let e = epochs.remove(0);
+                let mut e = epochs.remove(0);
                 if T::ENABLED {
                     tracer.predictions_verified(e.predicted.len() as u64);
                 }
@@ -908,7 +1205,6 @@ impl<'m> Machine<'m> {
                     self.squash(
                         &mut epochs,
                         &base,
-                        header,
                         SquashReq {
                             victim: v.consumer,
                             time: commit_done,
@@ -950,21 +1246,22 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    break 'region (exit_block, e.frames[0].regs.clone(), commit_done);
+                    break 'region (exit_block, e, commit_done);
                 }
-                // Freed core picks up the next epoch.
+                // Freed core picks up the next epoch, in the retired
+                // epoch's buffers.
                 let spawn_at = commit_done + self.config.spawn_overhead;
-                let ep = self.spawn_epoch(next_index, e.core, spawn_at, &base, header);
+                e.respawn(next_index, e.core, &base, spawn_at);
                 if T::ENABLED {
                     tracer.event(TraceEvent::EpochSpawn {
                         rid,
                         ord,
-                        epoch: ep.index,
-                        core: ep.core,
+                        epoch: e.index,
+                        core: e.core,
                         time: spawn_at,
                     });
                 }
-                epochs.push(ep);
+                epochs.push(e);
                 next_index += 1;
             }
 
@@ -1016,40 +1313,45 @@ impl<'m> Machine<'m> {
                 }
             }
 
-            // 3. Step the runnable epoch with the smallest clock.
-            let Some(i) = epochs
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.status == Status::Running)
-                .min_by_key(|(_, e)| (e.clock, e.index))
-                .map(|(i, _)| i)
-            else {
+            // 3. Step the runnable epoch with the smallest (clock, index).
+            let Some((i, rival)) = pick(&epochs) else {
                 if epochs.first().is_some_and(|e| e.status == Status::Done) {
                     continue; // commit loop will handle it
                 }
                 return Err(SimError::Deadlock { time: self.time });
             };
-            // `self.time` is frozen at region entry while epochs run on
-            // their own clocks, so the cycle budget must watch those.
-            if epochs[i].clock > self.config.max_cycles {
-                return Err(SimError::CycleBudgetExceeded(self.config.max_cycles));
-            }
-            self.bump_steps()?;
-            let req = self.step_epoch(
-                &mut epochs,
-                i,
-                ord,
-                header,
-                rid,
-                &committed_out,
-                &mut pendings,
-                tracer,
-            )?;
-            if let Some(req) = req {
+            // After a local step, step the same epoch again right away while
+            // its (clock, index) stays below `rival`, the smallest key of
+            // the other running epochs. A local step changes nothing the
+            // commit, wake and pick scans read except this epoch's clock, so
+            // nothing new could commit or wake, and the pick would be this
+            // epoch again: skipping the scans is exact.
+            let step = loop {
+                // `self.time` is frozen at region entry while epochs run on
+                // their own clocks, so the cycle budget must watch those.
+                if epochs[i].clock > self.config.max_cycles {
+                    return Err(SimError::CycleBudgetExceeded(self.config.max_cycles));
+                }
+                self.bump_steps()?;
+                let step = self.step_epoch(
+                    &mut epochs,
+                    i,
+                    ord,
+                    header,
+                    rid,
+                    &committed_out,
+                    &mut pendings,
+                    tracer,
+                )?;
+                let e = &epochs[i];
+                if !matches!(step, Step::Local) || rival.is_some_and(|r| r < (e.clock, e.index)) {
+                    break step;
+                }
+            };
+            if let Step::Squash(req) = step {
                 self.squash(
                     &mut epochs,
                     &base,
-                    header,
                     req,
                     &mut pendings,
                     &mut stats,
@@ -1061,7 +1363,7 @@ impl<'m> Machine<'m> {
             }
         };
 
-        let (exit_block, final_regs, end_time) = end;
+        let (exit_block, mut last, end_time) = end;
         if T::ENABLED {
             tracer.event(TraceEvent::RegionExit {
                 rid,
@@ -1091,10 +1393,11 @@ impl<'m> Machine<'m> {
         self.time = end_time;
         timer.flush(end_time);
         let frame = frames.last_mut().expect("nonempty");
-        frame.regs = final_regs;
-        frame.ready.iter_mut().for_each(|r| *r = end_time);
-        frame.block = exit_block;
-        frame.idx = 0;
+        std::mem::swap(&mut frame.regs, &mut last.frames[0].regs);
+        frame.regs.iter_mut().for_each(|r| r.1 = end_time);
+        frame.goto(&self.code, exit_block);
+        self.epoch_pool.push(last);
+        self.epoch_pool.append(&mut epochs);
         Ok(())
     }
 
@@ -1159,7 +1462,6 @@ impl<'m> Machine<'m> {
         &mut self,
         epochs: &mut [Epoch],
         base: &Frame,
-        header: BlockId,
         req: SquashReq,
         pendings: &mut Vec<Pending>,
         stats: &mut RegionStats,
@@ -1189,7 +1491,7 @@ impl<'m> Machine<'m> {
         }
         if let Some(sid) = req.load_sid {
             let class = match (
-                self.config.mark_compiler.contains(&sid),
+                self.code.sid_has(sid, SID_MARK_COMPILER),
                 self.viol_table.probe(sid),
             ) {
                 (false, false) => ViolationClass::Neither,
@@ -1233,31 +1535,18 @@ impl<'m> Machine<'m> {
                     store_sid: req.store_sid,
                 });
             }
-            let mut frame = base.clone();
-            frame.block = header;
-            frame.idx = 0;
-            frame.ready.iter_mut().for_each(|r| *r = restart);
-            e.frames = vec![frame];
-            e.timer = CoreTimer::new(&self.config, restart);
-            e.clock = restart;
-            e.status = Status::Running;
-            e.wb.clear();
-            e.reads.clear();
-            e.sync.clear();
-            e.outputs.clear();
-            e.predicted.clear();
-            e.occ.fill(0);
-            e.consumed.fill(false);
-            e.attempt_start = restart;
-            e.sync_cycles = 0;
-            e.finish = None;
+            e.restart(base, restart);
         }
         pendings.retain(|p| p.producer < req.victim && p.consumer < req.victim);
     }
 
-    /// Execute one instruction (or terminator) of epoch `i`; returns a
-    /// squash request if the step violated a later epoch.
+    /// Execute one op (or terminator) of epoch `i`; says whether the step
+    /// stayed local to the epoch or violated a later one.
+    ///
+    /// Kept out of line: inlined, it crowds the region loop that calls it,
+    /// and the untraced build ran slower than a traced one.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn step_epoch<T: Tracer>(
         &mut self,
         epochs: &mut [Epoch],
@@ -1268,7 +1557,7 @@ impl<'m> Machine<'m> {
         committed_out: &SyncState,
         pendings: &mut Vec<Pending>,
         tracer: &mut T,
-    ) -> Result<Option<SquashReq>, SimError> {
+    ) -> Result<Step, SimError> {
         let (older, rest) = epochs.split_at_mut(i);
         let (cur, younger) = rest.split_at_mut(1);
         let e = &mut cur[0];
@@ -1276,22 +1565,20 @@ impl<'m> Machine<'m> {
         let pred_out = older.last().map_or(committed_out, |p| &p.sync);
         let depth = e.frames.len();
         let frame = e.frames.last_mut().expect("epoch has frames");
-        let cb = self.code.block_at(frame.func, frame.block);
-
-        if frame.idx >= self.code.lens[cb] as usize {
+        if frame.pc >= frame.end {
             // Terminator.
-            let term = self.code.terms[cb];
+            let (term, class) = self.code.terms[frame.cb as usize];
             if T::ENABLED {
-                tracer.retire(OpClass::of_term(&term));
+                tracer.retire(class);
             }
             match term {
-                Terminator::Jump(to) => {
+                Term::Jump(to) => {
                     let (issue, _) = e.timer.issue(0, self.config.lat_alu);
                     e.clock = issue;
-                    Self::epoch_transfer(e, to, depth, header, &self.region_blocks[rid.index()]);
+                    self.epoch_transfer(e, to, depth, header, rid);
                 }
-                Terminator::Br { cond, t, f } => {
-                    let (c, ready) = eval_in(&self.code.global_addrs,frame, cond);
+                Term::Br { cond, t, f } => {
+                    let (c, ready) = eval(frame, cond);
                     let (issue, complete) = e.timer.issue(ready, self.config.lat_alu);
                     e.clock = issue;
                     let taken = c != 0;
@@ -1301,91 +1588,80 @@ impl<'m> Machine<'m> {
                             .stall_until(complete + self.config.mispredict_penalty);
                     }
                     let to = if taken { t } else { f };
-                    Self::epoch_transfer(e, to, depth, header, &self.region_blocks[rid.index()]);
+                    self.epoch_transfer(e, to, depth, header, rid);
                 }
-                Terminator::Ret(v) => {
+                Term::Ret(v) => {
                     if depth == 1 {
                         let name = self.module.func(frame.func).name.clone();
                         return Err(SimError::RetInRegion(name));
                     }
-                    let rv = v.map(|op| eval_in(&self.code.global_addrs, frame, op));
+                    let rv = v.map(|op| eval(frame, op));
                     let (issue, complete) = e.timer.issue(rv.map_or(0, |r| r.1), self.config.lat_alu);
                     e.clock = issue;
                     let done = e.frames.pop().expect("nonempty");
                     let caller = e.frames.last_mut().expect("depth > 1");
                     if let Some(dst) = done.ret_to {
-                        caller.regs[dst.index()] = rv.map_or(0, |r| r.0);
-                        caller.ready[dst.index()] = complete;
+                        caller.set(dst, rv.map_or(0, |r| r.0), complete);
                     }
                 }
             }
-            return Ok(None);
+            // Finishing the iteration or leaving the loop is for the commit
+            // loop to see.
+            return Ok(if e.status == Status::Running {
+                Step::Local
+            } else {
+                Step::Shared
+            });
         }
 
-        let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
+        let pc = frame.pc as usize;
         if T::ENABLED {
-            tracer.retire(OpClass::of(instr));
+            tracer.retire(self.code.classes[pc]);
         }
-        match instr {
-            Instr::Assign { dst, src } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *src);
-                let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
-                e.clock = issue;
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
+        match self.code.ops[pc] {
+            Op::Alu(alu) => {
+                e.clock = exec_local(alu, frame, &mut e.timer);
+                frame.pc += 1;
+                return Ok(Step::Local);
             }
-            Instr::Bin { dst, op, a, b } => {
-                let (va, ra) = eval_in(&self.code.global_addrs,frame, *a);
-                let (vb, rb) = eval_in(&self.code.global_addrs,frame, *b);
-                let (issue, complete) = e.timer.issue(ra.max(rb), self.bin_latency(*op));
-                e.clock = issue;
-                frame.regs[dst.index()] = op.eval(va, vb);
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
-            }
-            Instr::Output { val } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *val);
+            Op::Output { val } => {
+                let (v, r) = eval(frame, val);
                 let (issue, _) = e.timer.issue(r, self.config.lat_alu);
                 e.clock = issue;
                 e.outputs.push(v);
-                frame.idx += 1;
+                frame.pc += 1;
+                return Ok(Step::Local);
             }
-            Instr::EpochId { dst } => {
+            Op::EpochId { dst } => {
                 let (issue, complete) = e.timer.issue(0, self.config.lat_alu);
                 e.clock = issue;
-                frame.regs[dst.index()] = e.index as i64;
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
+                frame.set(dst, e.index as i64, complete);
+                frame.pc += 1;
+                return Ok(Step::Local);
             }
-            Instr::Call { dst, func: callee, args, .. } => {
-                if e.frames.len() >= MAX_CALL_DEPTH {
+            Op::Call { dst, func, args } => {
+                if depth >= MAX_CALL_DEPTH {
                     return Err(SimError::CallDepth(MAX_CALL_DEPTH));
                 }
                 let (issue, complete) = e.timer.issue(0, self.config.lat_alu);
                 e.clock = issue;
-                let mut nf = Frame::new(self.module, *callee, complete);
-                for (k, arg) in args.iter().enumerate() {
-                    let (v, r) = eval_in(&self.code.global_addrs,e.frames.last().expect("nonempty"), *arg);
-                    nf.regs[k] = v;
-                    nf.ready[k] = r.max(complete);
-                }
-                nf.ret_to = *dst;
-                e.frames.last_mut().expect("nonempty").idx += 1;
-                e.frames.push(nf);
+                let callee = self.call_frame(frame, dst, func, args, complete);
+                frame.pc += 1;
+                e.frames.push(callee);
+                return Ok(Step::Local);
             }
-            Instr::WaitScalar { dst, chan } => {
-                match pred_out.out_scalars.get(chan) {
+            Op::WaitScalar { dst, chan } => {
+                match pred_out.out_scalars.get(&chan) {
                     None => {
-                        e.status = Status::WaitScalar(*chan, e.clock);
-                        // Do not advance idx: re-execute on wake.
+                        e.status = Status::WaitScalar(chan, e.clock);
+                        // Do not advance pc: re-execute on wake.
                         if T::ENABLED {
                             tracer.event(TraceEvent::WaitBegin {
                                 rid,
                                 ord,
                                 epoch: e.index,
                                 core: e.core,
-                                kind: WaitKind::Scalar(*chan),
+                                kind: WaitKind::Scalar(chan),
                                 time: e.clock,
                             });
                         }
@@ -1393,16 +1669,15 @@ impl<'m> Machine<'m> {
                     Some(&(v, ready)) => {
                         let (issue, complete) = e.timer.issue(ready, self.config.lat_alu);
                         e.clock = issue;
-                        frame.regs[dst.index()] = v;
-                        frame.ready[dst.index()] = complete;
-                        frame.idx += 1;
+                        frame.set(dst, v, complete);
+                        frame.pc += 1;
                         if T::ENABLED {
                             tracer.event(TraceEvent::SignalRecv {
                                 rid,
                                 ord,
                                 epoch: e.index,
                                 core: e.core,
-                                kind: SignalKind::Scalar(*chan),
+                                kind: SignalKind::Scalar(chan),
                                 addr: None,
                                 value: v,
                                 time: issue,
@@ -1411,8 +1686,8 @@ impl<'m> Machine<'m> {
                     }
                 }
             }
-            Instr::SignalScalar { chan, val } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *val);
+            Op::SignalScalar { chan, val } => {
+                let (v, r) = eval(frame, val);
                 let (issue, _) = e.timer.issue(r, self.config.lat_alu);
                 e.clock = issue;
                 let mut ready_at = issue + self.config.forward_lat;
@@ -1431,25 +1706,30 @@ impl<'m> Machine<'m> {
                         }
                     }
                 }
-                e.sync.out_scalars.insert(*chan, (v, ready_at));
-                frame.idx += 1;
+                e.sync.out_scalars.insert(chan, (v, ready_at));
+                frame.pc += 1;
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
                         ord,
                         epoch: e.index,
                         core: e.core,
-                        kind: SignalKind::Scalar(*chan),
+                        kind: SignalKind::Scalar(chan),
                         addr: None,
                         value: v,
                         time: issue,
                     });
                 }
             }
-            Instr::SignalMem { group, addr, off, val, .. } => {
-                let (a, ra) = eval_in(&self.code.global_addrs,frame, *addr);
-                let (v, rv) = eval_in(&self.code.global_addrs,frame, *val);
-                let a = a.wrapping_add(*off);
+            Op::SignalMem {
+                group,
+                addr,
+                off,
+                val,
+            } => {
+                let (a, ra) = eval(frame, addr);
+                let (v, rv) = eval(frame, val);
+                let a = a.wrapping_add(off);
                 let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
                 e.clock = issue;
                 let ready_at = issue + self.config.forward_lat;
@@ -1494,33 +1774,33 @@ impl<'m> Machine<'m> {
                         }
                     }
                 }
-                e.sync.out_mems.insert(*group, wire);
+                e.sync.out_mems.insert(group, wire);
                 // The producer believes it forwarded the real address: the
                 // signal-address buffer keeps tracking `a` so later stores
                 // still re-signal (faults live on the wire, not here).
-                e.sync.push_sig_buf(*group, a);
+                e.sync.push_sig_buf(group, a);
                 if duplicate {
-                    e.sync.push_sig_buf(*group, a);
+                    e.sync.push_sig_buf(group, a);
                 }
-                frame.idx += 1;
+                frame.pc += 1;
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
                         ord,
                         epoch: e.index,
                         core: e.core,
-                        kind: SignalKind::Mem(*group),
+                        kind: SignalKind::Mem(group),
                         addr: wire.addr,
                         value: wire.value,
                         time: issue,
                     });
                 }
             }
-            Instr::SignalMemNull { group } => {
+            Op::SignalMemNull { group } => {
                 let (issue, _) = e.timer.issue(0, self.config.lat_alu);
                 e.clock = issue;
                 let sig = if self.config.relay_forwarding {
-                    pred_out.out_mems.get(group).copied()
+                    pred_out.out_mems.get(&group).copied()
                 } else {
                     None
                 };
@@ -1530,7 +1810,7 @@ impl<'m> Machine<'m> {
                         // Relay only if this epoch has not overwritten it.
                         if e.wb.wrote_word(a) {
                             e.sync.out_mems.insert(
-                                *group,
+                                group,
                                 MemSignal {
                                     addr: Some(a),
                                     value: e.wb.load(a).expect("wrote_word"),
@@ -1539,18 +1819,18 @@ impl<'m> Machine<'m> {
                             );
                         } else {
                             e.sync.out_mems.insert(
-                                *group,
+                                group,
                                 MemSignal {
                                     ready_at: issue + self.config.forward_lat,
                                     ..relayed
                                 },
                             );
                         }
-                        e.sync.push_sig_buf(*group, a);
+                        e.sync.push_sig_buf(group, a);
                     }
                     _ => {
                         e.sync.out_mems.insert(
-                            *group,
+                            group,
                             MemSignal {
                                 addr: None,
                                 value: 0,
@@ -1560,27 +1840,32 @@ impl<'m> Machine<'m> {
                     }
                 }
                 if T::ENABLED {
-                    let sent = e.sync.out_mems[group];
+                    let sent = e.sync.out_mems[&group];
                     tracer.event(TraceEvent::SignalSend {
                         rid,
                         ord,
                         epoch: e.index,
                         core: e.core,
-                        kind: SignalKind::MemNull(*group),
+                        kind: SignalKind::MemNull(group),
                         addr: sent.addr,
                         value: sent.value,
                         time: issue,
                     });
                 }
-                frame.idx += 1;
+                frame.pc += 1;
             }
-            Instr::Store { val, addr, off, sid } => {
-                let (a, ra) = eval_in(&self.code.global_addrs,frame, *addr);
-                let (v, rv) = eval_in(&self.code.global_addrs,frame, *val);
-                let a = a.wrapping_add(*off);
+            Op::Store {
+                val,
+                addr,
+                off,
+                sid,
+            } => {
+                let (a, ra) = eval(frame, addr);
+                let (v, rv) = eval(frame, val);
+                let a = a.wrapping_add(off);
                 let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
                 e.clock = issue;
-                e.wb.store(a, v, *sid);
+                e.wb.store(a, v, sid);
                 if T::ENABLED {
                     tracer.wb_occupancy(e.wb.len(), e.wb.dirty_lines());
                     tracer.event(TraceEvent::SpecStore {
@@ -1588,13 +1873,13 @@ impl<'m> Machine<'m> {
                         ord,
                         epoch: e.index,
                         core: e.core,
-                        sid: *sid,
+                        sid,
                         addr: a,
                         value: v,
                         time: issue,
                     });
                 }
-                frame.idx += 1;
+                frame.pc += 1;
                 // Signal-address-buffer check: re-signal and violate the
                 // consumer (§2.2 "p, q and y all point to the same
                 // location").
@@ -1624,7 +1909,7 @@ impl<'m> Machine<'m> {
                     }
                     if let Some(succ) = younger.first() {
                         if succ.consumed[g.index()] {
-                            victim = Some((succ.index, Some(*sid), ViolationKind::Resignal));
+                            victim = Some((succ.index, Some(sid), ViolationKind::Resignal));
                         }
                     }
                 }
@@ -1673,17 +1958,17 @@ impl<'m> Machine<'m> {
                                             producer: e.index,
                                             consumer: v0,
                                             sid: lsid,
-                                            store_sid: Some(*sid),
+                                            store_sid: Some(sid),
                                             addr: a,
                                         });
-                                        return Ok(None);
+                                        return Ok(Step::Shared);
                                     }
                                     // No load sid to hang a pending on:
                                     // deferral degenerates to the normal
                                     // eager squash (still maskable).
                                     (EagerFault::Defer, None) => {}
                                     // Contract-breaking: swallow it.
-                                    (EagerFault::Suppress, _) => return Ok(None),
+                                    (EagerFault::Suppress, _) => return Ok(Step::Shared),
                                 }
                             }
                         }
@@ -1692,30 +1977,43 @@ impl<'m> Machine<'m> {
                     // for resignal victims the store's sid stands in since
                     // the consumed forward has no plain-load sid) and this
                     // store as the producer side.
-                    return Ok(Some(SquashReq {
+                    return Ok(Step::Squash(SquashReq {
                         victim: v0,
                         time: issue,
                         load_sid: lsid,
-                        store_sid: Some(*sid),
+                        store_sid: Some(sid),
                         addr: Some(a),
                         producer: Some(e.index),
                         kind,
                     }));
                 }
             }
-            Instr::Load { dst, addr, off, sid } => {
-                let (a, r) = eval_in(&self.code.global_addrs,frame, *addr);
-                let a = a.wrapping_add(*off);
+            Op::Load {
+                dst,
+                addr,
+                off,
+                sid,
+            } => {
+                let (a, r) = eval(frame, addr);
+                let a = a.wrapping_add(off);
                 let occ = e.occ[sid.index()];
                 e.occ[sid.index()] += 1;
                 // Perfect prediction (modes O and Figure 6)?
                 let oracle_hit = match (&self.config.oracle_sel, self.oracle) {
                     (OracleSel::AllLoads, Some(o)) => o.value(
-                        OracleKey { region_ord: ord, epoch: e.index, sid: *sid },
+                        OracleKey {
+                            region_ord: ord,
+                            epoch: e.index,
+                            sid,
+                        },
                         occ as usize,
                     ),
-                    (OracleSel::Sids(s), Some(o)) if s.contains(sid) => o.value(
-                        OracleKey { region_ord: ord, epoch: e.index, sid: *sid },
+                    (OracleSel::Sids(_), Some(o)) if self.code.sid_has(sid, SID_ORACLE) => o.value(
+                        OracleKey {
+                            region_ord: ord,
+                            epoch: e.index,
+                            sid,
+                        },
                         occ as usize,
                     ),
                     _ => None,
@@ -1727,19 +2025,14 @@ impl<'m> Machine<'m> {
                     }
                     let (issue, complete) = e.timer.issue(r, lat);
                     e.clock = issue;
-                    frame.regs[dst.index()] = v;
-                    frame.ready[dst.index()] = complete;
-                    frame.idx += 1;
-                    return Ok(None);
+                    frame.set(dst, v, complete);
+                    frame.pc += 1;
+                    return Ok(Step::Shared);
                 }
                 // Hardware-inserted synchronization / Figure 11 marking:
                 // stall a flagged load until this epoch is the oldest.
-                let hw_flagged = self.config.hw_sync && self.viol_table.contains(*sid, e.clock);
-                let mark_flagged = self
-                    .config
-                    .stall_marked
-                    .as_ref()
-                    .is_some_and(|s| s.contains(sid));
+                let hw_flagged = self.config.hw_sync && self.viol_table.contains(sid, e.clock);
+                let mark_flagged = self.code.sid_has(sid, SID_STALL_MARKED);
                 if !is_oldest && (hw_flagged || mark_flagged) {
                     e.occ[sid.index()] -= 1;
                     e.status = Status::WaitOldest(e.clock);
@@ -1753,7 +2046,7 @@ impl<'m> Machine<'m> {
                             time: e.clock,
                         });
                     }
-                    return Ok(None);
+                    return Ok(Step::Shared);
                 }
                 // Hardware value prediction (mode P) for flagged loads. A
                 // load whose word this epoch already wrote must read its own
@@ -1762,16 +2055,16 @@ impl<'m> Machine<'m> {
                 if self.config.hw_predict
                     && !is_oldest
                     && !e.wb.wrote_word(a)
-                    && self.viol_table.contains(*sid, e.clock)
+                    && self.viol_table.contains(sid, e.clock)
                 {
-                    let mut pred_opt = self.predictor.predict(*sid);
+                    let mut pred_opt = self.predictor.predict(sid);
                     if let Some(plan) = self.config.inject.as_mut() {
                         if plan.wants(FaultClass::CorruptPrediction) {
                             // Perturb the prediction (forcing one from a
                             // below-threshold table entry if none was
                             // confident). Maskable: commit-time verification
                             // re-reads memory and squashes on mismatch.
-                            if let Some(base) = pred_opt.or_else(|| self.predictor.peek(*sid)) {
+                            if let Some(base) = pred_opt.or_else(|| self.predictor.peek(sid)) {
                                 if let Some(d) = plan.on_prediction()? {
                                     pred_opt = Some(base.wrapping_add(d));
                                     if T::ENABLED {
@@ -1789,23 +2082,22 @@ impl<'m> Machine<'m> {
                     if let Some(pred) = pred_opt {
                         let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
                         e.clock = issue;
-                        frame.regs[dst.index()] = pred;
-                        frame.ready[dst.index()] = complete;
-                        e.predicted.push((*sid, a, pred));
+                        frame.set(dst, pred, complete);
+                        e.predicted.push((sid, a, pred));
                         if T::ENABLED {
                             tracer.event(TraceEvent::PredictedLoad {
                                 rid,
                                 ord,
                                 epoch: e.index,
                                 core: e.core,
-                                sid: *sid,
+                                sid,
                                 addr: a,
                                 value: pred,
                                 time: issue,
                             });
                         }
-                        frame.idx += 1;
-                        return Ok(None);
+                        frame.pc += 1;
+                        return Ok(Step::Shared);
                     }
                 }
                 // Adaptive per-dependence policy (modes A/A-T/A-U): the
@@ -1816,10 +2108,10 @@ impl<'m> Machine<'m> {
                 if self.adapt.is_some() && !is_oldest {
                     // The predictor is consulted before the controller is
                     // borrowed mutably; the fields are disjoint.
-                    let confident = self.predictor.predict(*sid).is_some();
+                    let confident = self.predictor.predict(sid).is_some();
                     let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
-                    let out = ctl.decide(*sid, e.clock, confident);
-                    Self::emit_adapt(tracer, rid, ord, e.index, e.core, *sid, &out, e.clock);
+                    let out = ctl.decide(sid, e.clock, confident);
+                    Self::emit_adapt(tracer, rid, ord, e.index, e.core, sid, &out, e.clock);
                     match out.policy {
                         Policy::Stall => {
                             e.occ[sid.index()] -= 1;
@@ -1834,19 +2126,18 @@ impl<'m> Machine<'m> {
                                     time: e.clock,
                                 });
                             }
-                            return Ok(None);
+                            return Ok(Step::Shared);
                         }
                         Policy::Predict if !e.wb.wrote_word(a) => {
-                            if let Some(pred) = self.predictor.predict(*sid) {
+                            if let Some(pred) = self.predictor.predict(sid) {
                                 let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
                                 e.clock = issue;
-                                frame.regs[dst.index()] = pred;
-                                frame.ready[dst.index()] = complete;
+                                frame.set(dst, pred, complete);
                                 // Test-only mutation: skip the verification
                                 // entry so a wrong prediction commits
                                 // silently — only the model can object.
                                 if !self.config.break_adaptive_forwarding {
-                                    e.predicted.push((*sid, a, pred));
+                                    e.predicted.push((sid, a, pred));
                                 }
                                 if T::ENABLED {
                                     tracer.event(TraceEvent::PredictedLoad {
@@ -1854,28 +2145,31 @@ impl<'m> Machine<'m> {
                                         ord,
                                         epoch: e.index,
                                         core: e.core,
-                                        sid: *sid,
+                                        sid,
                                         addr: a,
                                         value: pred,
                                         time: issue,
                                     });
                                 }
-                                frame.idx += 1;
-                                return Ok(None);
+                                frame.pc += 1;
+                                return Ok(Step::Shared);
                             }
                         }
                         Policy::Forward | Policy::Predict => {}
                     }
                 }
-                let dst = *dst;
-                let sid = *sid;
                 self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer)?;
-                e.frames.last_mut().expect("nonempty").idx += 1;
+                e.frames.last_mut().expect("nonempty").pc += 1;
             }
-            Instr::SyncLoad { dst, addr, off, group, sid } => {
-                let (a, r) = eval_in(&self.code.global_addrs,frame, *addr);
-                let a = a.wrapping_add(*off);
-                let (dst, group, sid) = (*dst, *group, *sid);
+            Op::SyncLoad {
+                dst,
+                addr,
+                off,
+                group,
+                sid,
+            } => {
+                let (a, r) = eval(frame, addr);
+                let a = a.wrapping_add(off);
                 match self.config.sync_load_policy {
                     SyncLoadPolicy::Oracle => {
                         let occ = e.occ[sid.index()];
@@ -1890,15 +2184,14 @@ impl<'m> Machine<'m> {
                             let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
                             e.clock = issue;
                             let frame = e.frames.last_mut().expect("nonempty");
-                            frame.regs[dst.index()] = v;
-                            frame.ready[dst.index()] = complete;
+                            frame.set(dst, v, complete);
                         } else {
                             e.occ[sid.index()] -= 1;
                             self.epoch_plain_load(
                                 e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
                             )?;
                         }
-                        e.frames.last_mut().expect("nonempty").idx += 1;
+                        e.frames.last_mut().expect("nonempty").pc += 1;
                     }
                     SyncLoadPolicy::StallTillOldest => {
                         if !is_oldest {
@@ -1917,7 +2210,7 @@ impl<'m> Machine<'m> {
                             self.epoch_plain_load(
                                 e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
                             )?;
-                            e.frames.last_mut().expect("nonempty").idx += 1;
+                            e.frames.last_mut().expect("nonempty").pc += 1;
                         }
                     }
                     SyncLoadPolicy::Forward => {
@@ -1947,7 +2240,7 @@ impl<'m> Machine<'m> {
                                             time: e.clock,
                                         });
                                     }
-                                    return Ok(None);
+                                    return Ok(Step::Shared);
                                 }
                                 Policy::Predict if !e.wb.wrote_word(a) => {
                                     if let Some(pred) = self.predictor.predict(sid) {
@@ -1956,8 +2249,7 @@ impl<'m> Machine<'m> {
                                         e.clock = issue;
                                         let frame =
                                             e.frames.last_mut().expect("nonempty");
-                                        frame.regs[dst.index()] = pred;
-                                        frame.ready[dst.index()] = complete;
+                                        frame.set(dst, pred, complete);
                                         // Test-only mutation: skip the
                                         // verification entry (see the plain-
                                         // load site).
@@ -1976,8 +2268,8 @@ impl<'m> Machine<'m> {
                                                 time: issue,
                                             });
                                         }
-                                        e.frames.last_mut().expect("nonempty").idx += 1;
-                                        return Ok(None);
+                                        e.frames.last_mut().expect("nonempty").pc += 1;
+                                        return Ok(Step::Shared);
                                     }
                                 }
                                 Policy::Forward | Policy::Predict => {}
@@ -2014,14 +2306,14 @@ impl<'m> Machine<'m> {
                                     time: e.clock,
                                 });
                             }
-                            return Ok(None);
+                            return Ok(Step::Shared);
                         }
                         if filtered_out {
                             self.epoch_plain_load(
                                 e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
                             )?;
-                            e.frames.last_mut().expect("nonempty").idx += 1;
-                            return Ok(None);
+                            e.frames.last_mut().expect("nonempty").pc += 1;
+                            return Ok(Step::Shared);
                         }
                         match pred_out.out_mems.get(&group).copied() {
                             None => {
@@ -2050,8 +2342,7 @@ impl<'m> Machine<'m> {
                                         e.timer.issue(r.max(sig.ready_at), self.config.l1_lat);
                                     e.clock = issue;
                                     let frame = e.frames.last_mut().expect("nonempty");
-                                    frame.regs[dst.index()] = v;
-                                    frame.ready[dst.index()] = complete;
+                                    frame.set(dst, v, complete);
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SpecLoad {
                                             rid,
@@ -2097,8 +2388,7 @@ impl<'m> Machine<'m> {
                                         }
                                     }
                                     let frame = e.frames.last_mut().expect("nonempty");
-                                    frame.regs[dst.index()] = used;
-                                    frame.ready[dst.index()] = complete;
+                                    frame.set(dst, used, complete);
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SignalRecv {
                                             rid,
@@ -2127,14 +2417,14 @@ impl<'m> Machine<'m> {
                                         tracer,
                                     )?;
                                 }
-                                e.frames.last_mut().expect("nonempty").idx += 1;
+                                e.frames.last_mut().expect("nonempty").pc += 1;
                             }
                         }
                     }
                 }
             }
         }
-        Ok(None)
+        Ok(Step::Shared)
     }
 
     /// The shared "ordinary speculative load" path: own write buffer, else
@@ -2159,8 +2449,7 @@ impl<'m> Machine<'m> {
         if let Some(v) = e.wb.load(a) {
             let (issue, complete) = e.timer.issue(ready, self.config.l1_lat);
             e.clock = issue;
-            frame.regs[dst.index()] = v;
-            frame.ready[dst.index()] = complete;
+            frame.set(dst, v, complete);
             if T::ENABLED {
                 tracer.event(TraceEvent::SpecLoad {
                     rid,
@@ -2198,8 +2487,7 @@ impl<'m> Machine<'m> {
         };
         let (issue, complete) = e.timer.issue(ready, lat);
         e.clock = issue;
-        frame.regs[dst.index()] = v;
-        frame.ready[dst.index()] = complete;
+        frame.set(dst, v, complete);
         let mut spurious_evict = false;
         if let Some(plan) = self.config.inject.as_mut() {
             spurious_evict = plan.on_spec_load()?;
@@ -2265,37 +2553,70 @@ impl<'m> Machine<'m> {
     /// Apply an intra-epoch control transfer; reaching the region header or
     /// leaving the region's blocks ends the epoch.
     fn epoch_transfer(
+        &self,
         e: &mut Epoch,
         to: BlockId,
         depth: usize,
         header: BlockId,
-        region_blocks: &[bool],
+        rid: RegionId,
     ) {
         if depth == 1 && to == header {
             e.status = Status::Done;
             e.finish = Some((None, e.clock));
             return;
         }
-        if depth == 1 && !region_blocks[to.index()] {
+        if depth == 1 && !self.region_blocks[rid.index()][to.index()] {
             e.status = Status::Done;
             e.finish = Some((Some(to), e.clock));
             return;
         }
-        let frame = e.frames.last_mut().expect("nonempty");
-        frame.block = to;
-        frame.idx = 0;
+        e.frames.last_mut().expect("nonempty").goto(&self.code, to);
     }
 }
 
-/// Evaluate `op` in `frame`; `global_addrs` is the dense per-`GlobalId`
-/// address table of [`Code`].
-#[inline]
-fn eval_in(global_addrs: &[i64], frame: &Frame, op: Operand) -> (i64, u64) {
-    match op {
-        Operand::Var(v) => (frame.regs[v.index()], frame.ready[v.index()]),
-        Operand::Const(c) => (c, 0),
-        Operand::Global(g) => (global_addrs[g.index()], 0),
+/// The running epoch with the smallest `(clock, index)` (the scheduler's
+/// pick) and the smallest key among the other running epochs.
+fn pick(epochs: &[Epoch]) -> Option<(usize, Option<(u64, u64)>)> {
+    let mut best: Option<(usize, (u64, u64))> = None;
+    let mut runner_up: Option<(u64, u64)> = None;
+    for (j, e) in epochs.iter().enumerate() {
+        if e.status != Status::Running {
+            continue;
+        }
+        let key = (e.clock, e.index);
+        match best {
+            Some((_, b)) if b < key => {
+                if runner_up.is_none_or(|r| key < r) {
+                    runner_up = Some(key);
+                }
+            }
+            _ => {
+                runner_up = best.map(|(_, b)| b);
+                best = Some((j, key));
+            }
+        }
     }
+    best.map(|(i, _)| (i, runner_up))
+}
+
+/// Evaluate `src` in `frame`: its value and the cycle it is ready.
+#[inline]
+fn eval(frame: &Frame, src: Src) -> (i64, u64) {
+    match src {
+        Src::Reg(v) => frame.regs[v.index()],
+        Src::Imm(c) => (c, 0),
+    }
+}
+
+/// Execute the register-only op `alu` in `frame`, issuing it on `timer`;
+/// returns its issue time. Both step loops run ALU work through here.
+#[inline]
+fn exec_local(alu: Alu, frame: &mut Frame, timer: &mut CoreTimer) -> u64 {
+    let (va, ra) = eval(frame, alu.a);
+    let (vb, rb) = eval(frame, alu.b);
+    let (issue, complete) = timer.issue(ra.max(rb), alu.lat);
+    frame.set(alu.dst, alu.op.eval(va, vb), complete);
+    issue
 }
 
 #[cfg(test)]
